@@ -140,6 +140,33 @@ pub fn shift_logs_identical(a: &[FleetShift], b: &[FleetShift]) -> bool {
         })
 }
 
+/// FNV-1a fingerprint of a shift log over the same fields
+/// [`shift_logs_identical`] compares (time, app, target, reason, and the
+/// priced rate and benefit by `to_bits`): one `u64` that pins a whole
+/// schedule, so a test can hold a run to the exact decisions it made
+/// when the constant was captured.
+pub fn shift_log_fingerprint(shifts: &[FleetShift]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for s in shifts {
+        eat(s.at.as_nanos());
+        eat(s.app as u64);
+        eat(match s.to {
+            Placement::Software => u64::MAX,
+            Placement::Device(d) => u64::from(d.0),
+        });
+        eat(s.reason as u64);
+        eat(s.rate_pps.to_bits());
+        eat(s.benefit_w.to_bits());
+    }
+    hash
+}
+
 impl EconomicsReport {
     /// Does the skewed tariff pick a different placement *set* than the
     /// energy objective? (The headline claim: prices change decisions,

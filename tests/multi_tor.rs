@@ -17,6 +17,7 @@ use std::sync::OnceLock;
 use inc::hw::{DeviceId, Placement, ProgramResources};
 use inc::ondemand::{FleetShift, FleetTimeline};
 use inc::sim::Nanos;
+use inc_bench::economics::shift_log_fingerprint;
 use inc_bench::rigs::MultiTorRig;
 
 const KEYS: u64 = 512;
@@ -300,5 +301,33 @@ fn per_app_timelines_record_the_placement_windows() {
     assert!(
         pax_hw > detour_ns,
         "remote paxos median {pax_hw} ns cannot be below the detour {detour_ns} ns"
+    );
+}
+
+/// The canonical day's schedule, pinned bit for bit: the shift log's
+/// FNV-1a fingerprint and the metered energy of the fleet run and of the
+/// three static baselines (see `tests/shift_fingerprints.rs`).
+#[test]
+fn fleet_schedule_is_pinned() {
+    let shared = fleet_run();
+    assert_eq!(
+        (
+            shift_log_fingerprint(&shared.decisions),
+            [
+                shared.timeline.energy_j.to_bits(),
+                shared.sw_energy_j.to_bits(),
+                shared.kvs_a_energy_j.to_bits(),
+                shared.dns_pax_b_energy_j.to_bits(),
+            ]
+        ),
+        (
+            0x137c_57da_d0e0_dbb2,
+            [
+                0x4088_5159_93f3_7d74,
+                0x4089_0e77_d05c_f193,
+                0x4088_ce91_ca96_4c43,
+                0x4088_98fc_9e8d_1306,
+            ]
+        )
     );
 }

@@ -15,6 +15,7 @@ use inc::hw::{DeviceCapacity, Placement};
 use inc::kvs::KvsClient;
 use inc::ondemand::{FleetController, FleetShift, FleetTimeline};
 use inc::sim::Nanos;
+use inc_bench::economics::shift_log_fingerprint;
 use inc_bench::rigs::SharedDeviceRig;
 
 const KEYS: u64 = 512;
@@ -228,5 +229,19 @@ fn per_app_timelines_record_the_offload_windows() {
     assert!(
         sw_lat as f64 / hw_lat as f64 > 2.0,
         "sw {sw_lat} vs hw {hw_lat}"
+    );
+}
+
+/// The fleet day's schedule, pinned bit for bit: the shift log's FNV-1a
+/// fingerprint and the metered energy (see `tests/shift_fingerprints.rs`).
+#[test]
+fn fleet_schedule_is_pinned() {
+    let shared = fleet_run();
+    assert_eq!(
+        (
+            shift_log_fingerprint(&shared.decisions),
+            shared.timeline.energy_j.to_bits(),
+        ),
+        (0xa421_f189_23fb_279b, 0x4077_d23e_0ef8_a9cb)
     );
 }
