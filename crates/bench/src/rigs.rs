@@ -608,7 +608,7 @@ impl SharedDeviceRig {
                 .node_mut::<EmuDevice>(self.dns_device)
                 .apply_placement(now, Placement::HARDWARE);
         }
-        let interval = controller.config().interval;
+        let interval = controller.config().fleet.interval;
         let (kvs_client, kvs_device, kvs_server) =
             (self.kvs_client, self.kvs_device, self.kvs_server);
         let (dns_client, dns_device, dns_server) =
@@ -1198,7 +1198,7 @@ impl MultiTorRig {
                 apply_multi_tor_placement(&mut self.sim, &ids, now, app, p);
             }
         }
-        let interval = controller.config().interval;
+        let interval = controller.config().fleet.interval;
         let profiles = self.profiles.clone();
         run_fleet_controlled_with(
             &mut self.sim,
@@ -1656,7 +1656,7 @@ fn run_stylised_model(
 ) -> FleetTimeline {
     let mut sim: Simulator<()> = Simulator::new(0);
     let apps = controller.apps().to_vec();
-    let interval = controller.config().interval;
+    let interval = controller.config().fleet.interval;
     let placements = std::cell::RefCell::new(controller.placements().to_vec());
     run_fleet_controlled_with(
         &mut sim,
@@ -2228,7 +2228,7 @@ mod tests {
         // Paxos clears the offload floor even across the detour...
         let pax_peak = 12_000.0;
         let remote = ctl.effective_benefit_w(pax, ContendedFabricRig::TOR_B, pax_peak);
-        assert!(remote >= ctl.config().min_benefit_w);
+        assert!(remote >= ctl.config().fleet.min_benefit_w);
         // ...but cannot out-score either incumbent, sticky or not.
         let pax_score = ctl.score(pax, ContendedFabricRig::TOR_A, pax_peak);
         assert!(ctl.score(kvs, ContendedFabricRig::TOR_A, 120_000.0) > pax_score);
@@ -2311,7 +2311,7 @@ mod tests {
         );
         // Paxos: floor-clearing everywhere, outscored everywhere.
         for d in fabric.device_ids() {
-            assert!(ctl.effective_benefit_w(pax, d, 12_000.0) >= ctl.config().min_benefit_w);
+            assert!(ctl.effective_benefit_w(pax, d, 12_000.0) >= ctl.config().fleet.min_benefit_w);
         }
         // ...each resident out-scores the claimant on its own device, so
         // the knapsack never seats Paxos anywhere.

@@ -1,15 +1,18 @@
-//! Incremental, hierarchical fleet arbitration: dirty-app queues,
-//! per-pod arbiters and a global coordinator.
+//! The fleet scheduler: incremental, hierarchical arbitration with
+//! dirty-app queues, per-pod arbiters and a global coordinator.
 //!
-//! The flat [`FleetController`](crate::fleet::FleetController) re-scores
-//! every (app × device) pair from
-//! scratch each sampling interval — fine for a rack, ruinous for a
-//! datacenter. Gray's *Distributed Computing Economics* points the way
-//! out: only re-decide when the economics actually change. The
-//! [`HierarchicalController`] keeps the flat controller's decision
-//! *semantics* (same pricing formulas, same hysteresis, same weighted-DRF
-//! fairness — see [`pricing`](crate::fleet)) but restructures each tick
-//! as an event-driven pipeline:
+//! [`HierarchicalController`] is the one engine that decides, every
+//! sampling interval, which tenants run in the network and on which
+//! device (§9.1, §9.4). [`FleetController`] is the same type under the
+//! name the rigs use: built from a bare [`FleetControllerConfig`], it
+//! arbitrates incrementally with no rate dead band. The economics it
+//! prices with (hysteresis, stickiness, migration debits, weighted-DRF
+//! fairness) are described on the [`fleet`](crate::fleet) module.
+//!
+//! Re-scoring every (app × device) pair from scratch each interval is
+//! fine for a rack and ruinous for a datacenter. Gray's *Distributed
+//! Computing Economics* points the way out: only re-decide when the
+//! economics actually change. Each tick is an event-driven pipeline:
 //!
 //! 1. **Measure & hold** — each app's measured rate updates its *held*
 //!    scoring rate only when it moves by more than
@@ -23,11 +26,11 @@
 //!    re-scored.
 //! 3. **Per-pod arbiters** — each pod whose state is dirty re-solves the
 //!    greedy benefit-per-capacity knapsack for the apps homed in it,
-//!    using one priority heap per device keyed by the flat controller's
-//!    score (ties broken identically: app index, hop distance, device
-//!    index). Clean pods keep last tick's selection verbatim. Candidate
-//!    pruning follows the [`Topology`](inc_hw::Topology) tiers: a pod
-//!    arbiter only considers its own pod's devices.
+//!    using one priority heap per device keyed by the knapsack score
+//!    (ties broken by app index, hop distance, device index). Clean pods
+//!    keep last tick's selection verbatim. Candidate pruning follows the
+//!    [`Topology`](inc_hw::Topology) tiers: a pod arbiter only considers
+//!    its own pod's devices.
 //! 4. **Global coordinator** — handles only what crosses pods: spilling
 //!    apps their home pod cannot place, moving (or repatriating)
 //!    cross-pod residents, and weighted-DRF fairness claims over the
@@ -37,13 +40,9 @@
 //! pod forced dirty every tick; because both modes share held-rate
 //! semantics, an incremental run must produce the *identical* shift
 //! sequence — the equivalence property CI pins across proptest seeds.
-//! With a single pod and a zero dead band the pipeline degenerates to
-//! exactly the flat [`FleetController`](crate::fleet::FleetController)
-//! algorithm, which a second
-//! property pins.
 //!
-//! Two deliberate semantic differences from the flat controller at
-//! multi-pod scale (documented invariants, see `ARCHITECTURE.md`):
+//! The pod split gives the scheduler two cross-pod rules (see
+//! `ARCHITECTURE.md`, "Cross-pod semantics"):
 //!
 //! * a **cross-pod spill holds tenure against raw scores**: it can be
 //!   displaced only by its own sustained low-benefit eviction or by a
@@ -52,35 +51,36 @@
 //!   the pod happens by spilling (no room at home) or by a fairness
 //!   hand-over, so the coordinator's cross-pod work stays proportional
 //!   to the spill set, not the fleet.
+//!
+//! [`FleetController`]: crate::fleet::FleetController
 
 use std::collections::BinaryHeap;
 
 use inc_hw::{DeviceFabric, DeviceId, Placement};
 use inc_sim::Nanos;
 
-use crate::fleet::pricing;
 use crate::fleet::{
-    AdmissionDecision, FleetApp, FleetControllerConfig, FleetSample, FleetScheduler, FleetShift,
-    PriceRule, ShiftReason, TenureEstimator, TenurePolicy,
+    AdmissionDecision, ClaimPlan, EntitlementPolicy, FleetApp, FleetControllerConfig, FleetSample,
+    FleetScheduler, FleetShift, PriceRule, ShiftReason, TenureEstimator, TenurePolicy,
 };
 
 /// How the hierarchical pipeline schedules re-scoring work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArbitrationMode {
-    /// Every pod is solved every tick (the flat controller's work
-    /// profile, kept as the equivalence baseline and for measuring the
-    /// incremental speed-up).
+    /// Every pod is solved every tick: the reference the incremental
+    /// mode is tested against, and the baseline for measuring its
+    /// speed-up.
     FullRescore,
     /// Only pods with a dirty app or a capacity change are solved; clean
     /// pods reuse their previous selection unchanged.
     Incremental,
 }
 
-/// Configuration of the [`HierarchicalController`]: the flat scheduler's
+/// Configuration of the [`HierarchicalController`]: the scheduling
 /// economics plus the incremental machinery's knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ArbiterConfig {
-    /// The shared scheduling economics (floors, hysteresis, stickiness,
+    /// The scheduling economics (floors, hysteresis, stickiness,
     /// fairness, migration cost).
     pub fleet: FleetControllerConfig,
     /// Full re-score or incremental dirty-queue scheduling.
@@ -104,6 +104,19 @@ impl ArbiterConfig {
     }
 }
 
+impl From<FleetControllerConfig> for ArbiterConfig {
+    /// The [`FleetController`](crate::fleet::FleetController) form:
+    /// incremental arbitration with no rate dead band, so every measured
+    /// change is priced.
+    fn from(fleet: FleetControllerConfig) -> Self {
+        ArbiterConfig {
+            fleet,
+            mode: ArbitrationMode::Incremental,
+            rate_deadband: 0.0,
+        }
+    }
+}
+
 /// Work counters of the hierarchical pipeline: the deterministic
 /// evidence that incremental scheduling does less scoring than a full
 /// re-score (wall-clock speed-ups are measured by the `mega_fabric`
@@ -123,8 +136,8 @@ pub struct ArbiterStats {
 }
 
 /// One per-device candidate in a pod arbiter's priority heap, ordered
-/// exactly like the flat controller's global candidate sort: score
-/// descending, then app index, hop distance and device index ascending.
+/// like the coordinator's candidate sort: score descending, then app
+/// index, hop distance and device index ascending.
 #[derive(Debug)]
 struct Cand {
     score: f64,
@@ -156,11 +169,9 @@ impl Ord for Cand {
     }
 }
 
-/// The incremental, hierarchical fleet scheduler (see the module docs
-/// for the pipeline). Shares [`FleetApp`], [`FleetSample`],
-/// [`FleetShift`] and the pricing semantics with [`FleetController`].
-///
-/// [`FleetController`]: crate::fleet::FleetController
+/// The multi-application on-demand scheduler over a device fabric (see
+/// the module docs for the pipeline, and the [`fleet`](crate::fleet)
+/// module for the economics).
 #[derive(Clone, Debug)]
 pub struct HierarchicalController {
     config: ArbiterConfig,
@@ -174,9 +185,16 @@ pub struct HierarchicalController {
     placements: Vec<Placement>,
     up_streaks: Vec<u32>,
     down_streaks: Vec<u32>,
+    /// Consecutive samples each app has spent queued (software-placed
+    /// with a sustained profitable demand but no capacity).
     starved_streaks: Vec<u32>,
+    /// Cumulative queued samples per app over the controller's lifetime
+    /// (the back-pressure metric surfaced through the fleet timeline).
     queued_intervals: Vec<u64>,
+    /// Whether each resident app holds fair-share tenure (it was placed
+    /// by a fairness claim and contention persists).
     fair_hold: Vec<bool>,
+    /// Up-front admission verdict: demand unfit on every device.
     rejected: Vec<bool>,
     shifts: Vec<FleetShift>,
     /// Held scoring rate per app; NaN until the first sample arrives.
@@ -186,9 +204,8 @@ pub struct HierarchicalController {
     /// `Joules`), cached so a clean tick never re-runs the energy model
     /// (it only changes when the held rate does).
     held_raw_w: Vec<f64>,
-    /// Per-app online tenure estimators (consulted only under
-    /// [`TenurePolicy::Learned`]); observe the same shift stream as the
-    /// flat controller's, so the two stay bit-equivalent.
+    /// Per-app online tenure estimators, fed by the shift log whatever
+    /// the policy and priced only under [`TenurePolicy::Learned`].
     tenures: Vec<TenureEstimator>,
     /// Per-app starvation threshold (a pure function of config and the
     /// app's weight, so computed once).
@@ -209,13 +226,27 @@ pub struct HierarchicalController {
 
 impl HierarchicalController {
     /// Creates a scheduler with every app starting in software placement.
+    /// A bare [`FleetControllerConfig`] converts to the
+    /// [`FleetController`](crate::fleet::FleetController) form
+    /// (incremental, no rate dead band).
+    ///
+    /// Tenants whose demand fits no device in the fabric even when empty
+    /// are rejected up front (see
+    /// [`HierarchicalController::admission_decision`]): they are never
+    /// candidates and never queue.
     ///
     /// # Panics
     ///
-    /// Panics under the same admission preconditions as
-    /// [`FleetController::new`](crate::fleet::FleetController::new), or
-    /// if `rate_deadband` is negative or not finite.
-    pub fn new(config: ArbiterConfig, fabric: DeviceFabric, apps: Vec<FleetApp>) -> Self {
+    /// Panics if an app's home device is not in the fabric, if a weight
+    /// is not finite and positive, if the economics are unusable (see
+    /// [`FleetControllerConfig`]), or if `rate_deadband` is negative or
+    /// not finite.
+    pub fn new(
+        config: impl Into<ArbiterConfig>,
+        fabric: DeviceFabric,
+        apps: Vec<FleetApp>,
+    ) -> Self {
+        let config = config.into();
         for app in &apps {
             assert!(
                 app.home.index() < fabric.device_count(),
@@ -247,7 +278,7 @@ impl HierarchicalController {
             .collect();
         let thresholds: Vec<u32> = apps
             .iter()
-            .map(|a| pricing::starvation_threshold(&config.fleet, a.weight))
+            .map(|a| config.fleet.starvation_threshold(a.weight))
             .collect();
         let home_pod: Vec<u16> = apps.iter().map(|a| fabric.pod(a.home)).collect();
         let pods = fabric.pod_count();
@@ -282,6 +313,29 @@ impl HierarchicalController {
             last_dirty: Vec::new(),
             stats: ArbiterStats::default(),
         }
+    }
+
+    /// Adopts pre-existing placements (e.g. a static deployment the
+    /// controller takes over, or a pinned configuration when
+    /// `sustain_samples` is `u32::MAX`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device-resident subset does not fit its devices
+    /// (`placements` must be feasible) or its length differs from the
+    /// number of apps.
+    pub fn with_initial_placements(mut self, placements: &[Placement]) -> Self {
+        assert_eq!(placements.len(), self.apps.len());
+        self.fabric.clear();
+        for (i, &p) in placements.iter().enumerate() {
+            if let Placement::Device(d) = p {
+                self.fabric
+                    .admit(d, i as u64, self.apps[i].demand)
+                    .expect("initial placements must fit the fabric");
+            }
+        }
+        self.placements = placements.to_vec();
+        self
     }
 
     /// Current per-app placements, indexed like the `apps` vector.
@@ -326,10 +380,11 @@ impl HierarchicalController {
         self.held_rates[app]
     }
 
-    /// The current admission verdict for `app` (same contract as
-    /// [`FleetController::admission_decision`]).
-    ///
-    /// [`FleetController::admission_decision`]: crate::fleet::FleetController::admission_decision
+    /// The current admission verdict for `app`: [`AdmissionDecision::Reject`]
+    /// when its demand fits no device even empty (decided up front and
+    /// permanent for a fixed fabric), [`AdmissionDecision::Queue`] while
+    /// it sustains a profitable demand in software without receiving
+    /// capacity, [`AdmissionDecision::Admit`] otherwise.
     pub fn admission_decision(&self, app: usize) -> AdmissionDecision {
         if self.rejected[app] {
             AdmissionDecision::Reject
@@ -345,9 +400,121 @@ impl HierarchicalController {
         self.starved_streaks[app]
     }
 
-    /// Cumulative queued samples per app over the run.
+    /// Cumulative queued samples per app over the run — the back-pressure
+    /// each tenant has absorbed, indexed like the `apps` vector.
     pub fn queued_intervals(&self) -> &[u64] {
         &self.queued_intervals
+    }
+
+    /// Queued samples after which `app` files a fairness claim: the
+    /// configured starvation window scaled down by the app's weight,
+    /// floored by the sustain window (shares must never change faster
+    /// than ordinary hysteresis allows).
+    pub fn starvation_threshold(&self, app: usize) -> u32 {
+        self.thresholds[app]
+    }
+
+    /// The weighted-DRF entitlement of `app`: its weight over the summed
+    /// weights of every tenant currently contending for the fabric
+    /// (resident or queued), itself always included. 1.0 when it would
+    /// contend alone.
+    pub fn entitlement(&self, app: usize) -> f64 {
+        self.apps[app].weight / self.contending_weight(app, |i| self.placements[i].is_offloaded())
+    }
+
+    /// The dominant share `app` currently holds on its device (0.0 in
+    /// software): the quantity fairness compares against
+    /// [`HierarchicalController::entitlement`].
+    pub fn dominant_share(&self, app: usize) -> f64 {
+        self.fabric.dominant_share(app as u64)
+    }
+
+    /// The fairness hand-over plans available to `app` against the
+    /// **current** placements, given one trusted rate per app: every
+    /// device where its penalty-adjusted benefit clears the floor and a
+    /// clip sequence of over-entitled incumbents frees enough room, with
+    /// the forfeited benefit and migration debits of each. Unordered;
+    /// rank with the configured policy's rule ([`ClaimPlan::total_cost_w`]
+    /// ascending for min-cost, [`ClaimPlan::score`] descending for
+    /// best-score). What a claim would see if it fired this instant —
+    /// exposed for analysis and property tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rates.len()` differs from the number of apps.
+    pub fn claim_plans(&self, app: usize, rates: &[f64]) -> Vec<ClaimPlan> {
+        assert_eq!(rates.len(), self.apps.len(), "one rate per app");
+        self.plan_handovers(|j| self.placements[j].device(), |_| false, app, rates)
+    }
+
+    /// Estimated power saved by offloading `app` at `rate_pps` (§8 dynamic
+    /// terms): software watts minus network watts, before any locality
+    /// penalty. Negative when software is cheaper. Always watts — the
+    /// configured objective prices this into decision units.
+    pub fn benefit_w(&self, app: usize, rate_pps: f64) -> f64 {
+        let (sw, hw) = self.apps[app].analysis.energy_per_second(rate_pps);
+        sw - hw
+    }
+
+    /// The objective value of placing `app` on `device` at `rate_pps`:
+    /// the objective-priced raw benefit scaled by the topology's
+    /// locality factor (1.0 at home, the hop tier's haircut elsewhere),
+    /// minus the objective-priced detour cost at that rate. Under the
+    /// default [`Objective::Joules`](crate::fleet::Objective::Joules)
+    /// this is watts.
+    pub fn effective_benefit_w(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
+        self.effective_value_of(app, device, self.raw_value(app, rate_pps), rate_pps)
+    }
+
+    /// The amortised switchover debit at the configured tenure, watts:
+    /// the migration cost spread over
+    /// [`FleetControllerConfig::expected_tenure_samples`].
+    pub fn migration_w(&self) -> f64 {
+        self.amortised_w(f64::from(self.config.fleet.expected_tenure_samples.max(1)))
+    }
+
+    /// The tenure a new placement of `app` is expected to hold, in
+    /// sampling intervals: the config constant under
+    /// [`TenurePolicy::Fixed`], the app's own EWMA estimate (with the
+    /// config constant as fallback) under [`TenurePolicy::Learned`].
+    pub fn expected_tenure_samples(&self, app: usize) -> f64 {
+        match self.config.fleet.tenure {
+            TenurePolicy::Fixed => f64::from(self.config.fleet.expected_tenure_samples.max(1)),
+            TenurePolicy::Learned { .. } => {
+                self.tenures[app].expected_samples(self.config.fleet.expected_tenure_samples)
+            }
+        }
+    }
+
+    /// The online tenure estimator of `app` (its EWMA state advances on
+    /// every recorded shift whatever the [`TenurePolicy`]).
+    pub fn tenure_estimator(&self, app: usize) -> &TenureEstimator {
+        &self.tenures[app]
+    }
+
+    /// The objective-priced switchover debit charged to a move of `app`:
+    /// its migration cost amortised over [`Self::expected_tenure_samples`]
+    /// and pushed through the objective. Equals [`Self::migration_w`]
+    /// under the default fixed-tenure joule pricing.
+    pub fn app_migration_w(&self, app: usize) -> f64 {
+        let watts = self.amortised_w(self.expected_tenure_samples(app));
+        self.config.fleet.objective.value_of_w(watts)
+    }
+
+    /// The value of *moving* `app` from its current device to `device`:
+    /// the effective value there, debited by the objective-priced
+    /// amortised switchover cost. This is what a device-to-device
+    /// candidate must clear the floor with and is scored by.
+    pub fn move_benefit_w(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
+        self.effective_benefit_w(app, device, rate_pps) - self.app_migration_w(app)
+    }
+
+    /// Benefit per capacity unit of placing `app` on `device`: the
+    /// knapsack ranking key. The cost is floored so a degenerate
+    /// zero-demand app yields an (enormous) finite score rather than a
+    /// NaN from 0/0.
+    pub fn score(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
+        self.per_capacity(app, device, self.effective_benefit_w(app, device, rate_pps))
     }
 
     /// Flags a device whose capacity changed outside the scheduler's own
@@ -372,15 +539,17 @@ impl HierarchicalController {
 
     /// Re-targets the offload floor
     /// ([`FleetControllerConfig::min_benefit_w`]) mid-run — the
-    /// power-budget knob the chaos suite flaps. Every app is marked
-    /// dirty: the floor gates every score, so incremental mode must
-    /// re-arbitrate the whole fleet against the new budget.
+    /// power-budget knob the chaos suite flaps. A higher floor demands
+    /// more §8 savings per offload (a tighter budget); existing tenants
+    /// re-justify themselves against it through the ordinary eviction
+    /// hysteresis, so a flap shorter than the sustain window moves
+    /// nothing. Every app is marked dirty: the floor gates every score,
+    /// so incremental mode must re-arbitrate the whole fleet against the
+    /// new budget.
     ///
     /// # Panics
     ///
     /// Panics if `floor_w` is not finite and non-negative.
-    ///
-    /// [`FleetControllerConfig::min_benefit_w`]: crate::fleet::FleetControllerConfig::min_benefit_w
     pub fn set_min_benefit_w(&mut self, floor_w: f64) {
         assert!(
             floor_w.is_finite() && floor_w >= 0.0,
@@ -392,50 +561,172 @@ impl HierarchicalController {
         }
     }
 
-    /// Expected placement tenure of `app` in scheduler intervals (the
-    /// learned estimate under [`TenurePolicy::Learned`], the config
-    /// constant otherwise) — same contract as
-    /// [`FleetController::expected_tenure_samples`](crate::fleet::FleetController::expected_tenure_samples).
-    pub fn expected_tenure_samples(&self, app: usize) -> f64 {
-        match self.config.fleet.tenure {
-            TenurePolicy::Fixed => f64::from(self.config.fleet.expected_tenure_samples.max(1)),
-            TenurePolicy::Learned { .. } => {
-                self.tenures[app].expected_samples(self.config.fleet.expected_tenure_samples)
-            }
-        }
+    /// The objective-priced raw benefit of `app` at `rate_pps`: the §8
+    /// watts pushed through [`PriceRule::value_of_w`].
+    fn raw_value(&self, app: usize, rate_pps: f64) -> f64 {
+        self.config
+            .fleet
+            .objective
+            .value_of_w(self.benefit_w(app, rate_pps))
     }
 
-    /// The online tenure estimator of `app` (its EWMA state advances on
-    /// every recorded shift whatever the [`TenurePolicy`]).
-    pub fn tenure_estimator(&self, app: usize) -> &TenureEstimator {
-        &self.tenures[app]
+    /// The objective value of a seat of `app` at `at` whose
+    /// objective-priced raw benefit is `raw_value`: the raw value behind
+    /// the locality haircut, minus the objective-priced detour cost.
+    /// Split from [`Self::effective_benefit_w`] so the measure step can
+    /// price a cached raw value without re-running the energy model.
+    fn effective_value_of(&self, app: usize, at: DeviceId, raw_value: f64, rate_pps: f64) -> f64 {
+        let home = self.apps[app].home;
+        raw_value * self.fabric.benefit_factor(home, at)
+            - self
+                .config
+                .fleet
+                .objective
+                .detour_value(&self.fabric, home, at, rate_pps)
     }
 
-    /// The objective-priced migration debit charged against a move of
-    /// `app` — mirrors `FleetController::migration_value` exactly, so
-    /// flat and hierarchical runs price moves identically.
-    fn migration_value(&self, app: usize) -> f64 {
+    /// The objective-priced offload floor: what a candidate's effective
+    /// value must clear ([`FleetControllerConfig::min_benefit_w`] under
+    /// the default joule objective).
+    fn floor(&self) -> f64 {
+        self.config
+            .fleet
+            .objective
+            .value_of_w(self.config.fleet.min_benefit_w)
+    }
+
+    /// The migration cost amortised over `tenure_samples` sampling
+    /// intervals, watts.
+    fn amortised_w(&self, tenure_samples: f64) -> f64 {
         let config = &self.config.fleet;
-        let watts = match config.tenure {
-            TenurePolicy::Fixed => pricing::migration_w(config),
-            TenurePolicy::Learned { .. } => pricing::migration_w_for(
-                config,
-                self.tenures[app].expected_samples(config.expected_tenure_samples),
-            ),
-        };
-        config.objective.value_of_w(watts)
+        if config.migration_cost_j <= 0.0 {
+            return 0.0;
+        }
+        config.migration_cost_j / (tenure_samples.max(1.0) * config.interval.as_secs_f64())
     }
 
-    fn sticky_score(&self, app: usize, device: DeviceId) -> f64 {
-        let eff = pricing::effective_benefit_w(
-            &self.config.fleet,
-            &self.fabric,
-            &self.apps[app],
-            device,
-            self.held_rates[app],
-        );
-        pricing::per_capacity(&self.fabric, &self.apps[app], device, eff)
-            * self.config.fleet.stickiness
+    /// `benefit_w` per capacity unit of `app`'s demand on `device`, with
+    /// the cost floored so a zero-demand app yields an enormous finite
+    /// score rather than a 0/0 NaN.
+    fn per_capacity(&self, app: usize, device: DeviceId, benefit_w: f64) -> f64 {
+        let cost = self
+            .fabric
+            .device(device)
+            .cost_units(&self.apps[app].demand)
+            .max(f64::MIN_POSITIVE);
+        benefit_w / cost
+    }
+
+    /// Summed weights of the tenants contending for the fabric: those
+    /// `resident` under the given view — the current placements when
+    /// reporting, the in-progress assignment mid-decision — or currently
+    /// queued, with `include` always counted. The one definition behind
+    /// both [`Self::entitlement`] and the fairness pass, so the
+    /// entitlement a claim clips against is the one the accessor reports.
+    fn contending_weight(&self, include: usize, resident: impl Fn(usize) -> bool) -> f64 {
+        (0..self.apps.len())
+            .filter(|&j| j == include || resident(j) || self.starved_streaks[j] > 0)
+            .map(|j| self.apps[j].weight)
+            .sum()
+    }
+
+    /// Plans a fairness hand-over for `app` on every feasible device of
+    /// the assignment described by the fabric ledgers and `resident_on`:
+    /// devices where the claimant's penalty-adjusted benefit clears the
+    /// floor and enough over-entitled, unprotected capacity exists.
+    /// `protected` marks incumbents a claim may not clip (tenants placed
+    /// by a claim in the same decision pass).
+    fn plan_handovers(
+        &self,
+        resident_on: impl Fn(usize) -> Option<DeviceId>,
+        protected: impl Fn(usize) -> bool,
+        app: usize,
+        rates: &[f64],
+    ) -> Vec<ClaimPlan> {
+        let config = &self.config.fleet;
+        let apps = &self.apps;
+        let total_w = self.contending_weight(app, |j| resident_on(j).is_some());
+        let floor = self.floor();
+        let mut plans = Vec::new();
+        for d in self.fabric.device_ids() {
+            if !self.fabric.is_online(d) {
+                continue;
+            }
+            let claimant_w = self.effective_benefit_w(app, d, rates[app]);
+            if claimant_w < floor {
+                continue;
+            }
+            // The share a seat counts for against its entitlement. Under
+            // tier-weighted entitlements a remote seat is discounted by
+            // the locality factor of its distance — a cross-core seat
+            // "occupies" less of the fleet than a home-rack one, so far
+            // incumbents are clipped later and claimants must starve
+            // longer to displace them.
+            let seat_share = |j: usize| -> f64 {
+                let share = self.fabric.device(d).dominant_share(j as u64);
+                match config.entitlement {
+                    EntitlementPolicy::Uniform => share,
+                    EntitlementPolicy::TierWeighted => {
+                        share * self.fabric.benefit_factor(apps[j].home, d)
+                    }
+                }
+            };
+            // Simulate the clip sequence on a scratch ledger: release the
+            // most over-weighted over-entitled incumbents until the
+            // claimant fits (or the clippable set runs out).
+            let mut ledger = self.fabric.device(d).clone();
+            let mut clips: Vec<usize> = Vec::new();
+            if ledger.admit(app as u64, apps[app].demand).is_err() {
+                let mut over: Vec<usize> = (0..apps.len())
+                    .filter(|&j| {
+                        resident_on(j) == Some(d)
+                            && !protected(j)
+                            && seat_share(j) > apps[j].weight / total_w
+                    })
+                    .collect();
+                over.sort_by(|&a, &b| {
+                    let sa = seat_share(a) / apps[a].weight;
+                    let sb = seat_share(b) / apps[b].weight;
+                    sb.total_cmp(&sa).then(a.cmp(&b))
+                });
+                let mut fits = false;
+                for j in over {
+                    ledger.release(j as u64);
+                    clips.push(j);
+                    if ledger.admit(app as u64, apps[app].demand).is_ok() {
+                        fits = true;
+                        break;
+                    }
+                }
+                if !fits {
+                    continue;
+                }
+            }
+            let clipped_benefit_w = clips
+                .iter()
+                .map(|&j| self.effective_benefit_w(j, d, rates[j]))
+                .sum();
+            // Under the fixed policy every debit is the same, so the sum
+            // is kept as a multiply; per-app estimates must genuinely be
+            // summed.
+            let migration_w = match config.tenure {
+                TenurePolicy::Fixed => {
+                    config.objective.value_of_w(self.migration_w()) * (clips.len() + 1) as f64
+                }
+                TenurePolicy::Learned { .. } => {
+                    clips.iter().map(|&j| self.app_migration_w(j)).sum::<f64>()
+                        + self.app_migration_w(app)
+                }
+            };
+            plans.push(ClaimPlan {
+                device: d,
+                migration_w,
+                clips,
+                clipped_benefit_w,
+                score: self.per_capacity(app, d, claimant_w),
+            });
+        }
+        plans
     }
 
     /// Marks `i` dirty, deduplicating: at most one enqueue per interval.
@@ -458,22 +749,24 @@ impl HierarchicalController {
         assert_eq!(samples.len(), self.apps.len(), "one sample per app");
         let n = self.apps.len();
         let sustain = self.config.fleet.sustain_samples;
-        let floor = pricing::floor_value(&self.config.fleet);
+        let floor = self.floor();
         self.stats.ticks += 1;
 
-        // Failure response precedes everything else (mirroring the flat
-        // controller): tenants of an offline device are force-evicted
-        // to software with their streaks reset, and the death feeds the
-        // dirty-app queue — the evictee is marked dirty and the dead
-        // device raises a capacity event, so its whole pod re-arbitrates
-        // this very tick. The shift is recorded at the rate measured on
-        // the (dead) device, priced as the raw software value — exactly
-        // the flat controller's eviction record.
+        // Failure response precedes everything else: tenants of an
+        // offline device cannot wait out hysteresis, so they are
+        // force-evicted to software with their streaks reset, and the
+        // death feeds the dirty-app queue — the evictee is marked dirty
+        // and the dead device raises a capacity event, so its whole pod
+        // re-arbitrates this very tick. Re-offload onto a live device
+        // goes back through the ordinary sustain machinery, which bounds
+        // recovery by one sustain window. The shift is recorded at the
+        // rate measured on the (dead) device, priced as the raw software
+        // value.
         let mut evicted: Vec<(usize, Placement)> = Vec::new();
-        for (i, sample) in samples.iter().enumerate().take(n) {
+        for (i, sample) in samples.iter().enumerate() {
             if let Placement::Device(d) = self.placements[i] {
                 if !self.fabric.is_online(d) {
-                    let measured = sample.host.hw_app_rate;
+                    let measured = sample.trusted_rate(self.placements[i]);
                     self.fabric.release(i as u64);
                     self.placements[i] = Placement::Software;
                     self.up_streaks[i] = 0;
@@ -492,7 +785,7 @@ impl HierarchicalController {
                         app: i,
                         to: Placement::Software,
                         rate_pps: measured,
-                        benefit_w: pricing::raw_value(&self.config.fleet, &self.apps[i], measured),
+                        benefit_w: self.raw_value(i, measured),
                         reason: ShiftReason::DeviceLoss,
                     });
                     evicted.push((i, Placement::Software));
@@ -547,10 +840,7 @@ impl HierarchicalController {
                     Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
                 }
             }
-            let measured = match self.placements[i] {
-                Placement::Device(_) => samples[i].host.hw_app_rate,
-                Placement::Software => samples[i].offered_pps,
-            };
+            let measured = samples[i].trusted_rate(self.placements[i]);
             let held = self.held_rates[i];
             // A NaN `held` (first sample) fails the in-band comparison,
             // so initialisation and a genuine crossing share one branch —
@@ -558,13 +848,11 @@ impl HierarchicalController {
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !((measured - held).abs() <= deadband * held.abs().max(1.0)) {
                 self.held_rates[i] = measured;
-                self.held_raw_w[i] =
-                    pricing::raw_value(&self.config.fleet, &self.apps[i], measured);
+                self.held_raw_w[i] = self.raw_value(i, measured);
                 Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
             }
             // The cached raw value makes a clean tick free of energy-
-            // model evaluations; `delivered` applies the same haircut
-            // arithmetic as `pricing::effective_benefit_w`.
+            // model evaluations.
             let raw = self.held_raw_w[i];
             // Cold software tenants (no benefit, no streaks) are the bulk
             // of a fleet; their gates provably cannot move, so skip the
@@ -575,7 +863,12 @@ impl HierarchicalController {
             {
                 continue;
             }
-            let rate = self.held_rates[i];
+            // The up-streak — consecutive samples of raw value above the
+            // floor since the app's last placement change — gates
+            // *entering* a device: a software app's first offload and,
+            // equally, a resident's move to another device. A resident is
+            // additionally judged by the value it actually delivers where
+            // it runs (haircut included) for the eviction streak.
             let up_was = self.up_streaks[i] >= sustain;
             self.up_streaks[i] = if raw >= floor {
                 self.up_streaks[i].saturating_add(1)
@@ -589,14 +882,7 @@ impl HierarchicalController {
             match self.placements[i] {
                 Placement::Software => self.down_streaks[i] = 0,
                 Placement::Device(d) => {
-                    let delivered = pricing::effective_value_of(
-                        &self.config.fleet,
-                        &self.fabric,
-                        self.apps[i].home,
-                        d,
-                        raw,
-                        rate,
-                    );
+                    let delivered = self.effective_value_of(i, d, raw, self.held_rates[i]);
                     if delivered < evict_w {
                         self.down_streaks[i] = self.down_streaks[i].saturating_add(1);
                     } else {
@@ -635,10 +921,11 @@ impl HierarchicalController {
             Vec::new()
         };
 
-        // --- Queue accounting (post-decision), identical to the flat
-        // controller — plus the dirty events the transitions imply:
-        // entering or leaving the queue changes DRF contention, and
-        // crossing the starvation threshold arms a claim.
+        // --- Queue accounting (post-decision): a tenant is queued when it
+        // sustains a profitable demand in software but received no
+        // capacity this interval. Entering or leaving the queue changes
+        // DRF contention, and crossing the starvation threshold arms a
+        // claim, so both raise dirty events for next tick.
         for i in 0..n {
             let queued = !self.rejected[i]
                 && self.placements[i] == Placement::Software
@@ -673,9 +960,12 @@ impl HierarchicalController {
         // Seats kept ahead of any score: fairness tenure, cross-pod
         // spills (coordinator-owned; a host pod's locals cannot preempt
         // them), and every incumbent of a *clean* pod (whose sub-problem
-        // is unchanged — the incremental reuse). Everyone else is up for
-        // re-decision, so their seats are released and the fabric is
-        // rebuilt *in place* — every score is allocation-independent
+        // is unchanged — the incremental reuse). Fairness tenure turns
+        // raw-score preemption into claim-based hand-over: a rival cannot
+        // undo a fair-share hand-over three samples after it happened,
+        // it must starve and claim like everyone else. Everyone else is
+        // up for re-decision, so their seats are released and the fabric
+        // is rebuilt *in place* — every score is allocation-independent
         // (benefit is topology-priced, capacity cost is a budget
         // fraction), so mutating mid-solve cannot skew a later score, and
         // releasing only the contested seats is what keeps a solve's cost
@@ -706,13 +996,15 @@ impl HierarchicalController {
         self.stats.coordinator_runs += 1;
         let (fair_placed, fair_clipped) = self.coordinate(&mut selected);
 
-        // --- Execute the diff (flat-controller reason tagging).
-        let rates = &self.held_rates;
+        // --- Execute the diff. A cross-device move is a single decision
+        // (the executor tears down one residency and programs the other).
         let mut decisions = Vec::new();
         let want_of = |s: Option<DeviceId>| match s {
             Some(d) => Placement::Device(d),
             None => Placement::Software,
         };
+        // Snapshots exist only for reason tagging; most intervals decide
+        // nothing and should not pay the two allocations.
         let changed = (0..n).any(|i| want_of(selected[i]) != self.placements[i]);
         let prev_placements = if changed {
             self.placements.clone()
@@ -730,6 +1022,11 @@ impl HierarchicalController {
                 let reason = if fair_placed[i] || fair_clipped[i] {
                     ShiftReason::FairShare
                 } else if let (Placement::Device(d), true) = (want, self.starved_streaks[i] > 0) {
+                    // A queued tenant entering capacity that freed up on
+                    // its own (no incumbent displaced except by its
+                    // sustained low-benefit eviction) is the admission
+                    // queue draining; displacing a healthy incumbent by
+                    // raw score is still a benefit decision.
                     let preempted = (0..n).any(|j| {
                         j != i
                             && prev_placements[j] == Placement::Device(d)
@@ -763,23 +1060,16 @@ impl HierarchicalController {
                     self.config.fleet.interval,
                     self.config.fleet.tenure.ewma_alpha(),
                 );
+                let rate = self.held_rates[i];
                 let benefit_w = match want {
-                    Placement::Device(d) => pricing::effective_benefit_w(
-                        &self.config.fleet,
-                        &self.fabric,
-                        &self.apps[i],
-                        d,
-                        rates[i],
-                    ),
-                    Placement::Software => {
-                        pricing::raw_value(&self.config.fleet, &self.apps[i], rates[i])
-                    }
+                    Placement::Device(d) => self.effective_benefit_w(i, d, rate),
+                    Placement::Software => self.raw_value(i, rate),
                 };
                 self.shifts.push(FleetShift {
                     at: now,
                     app: i,
                     to: want,
-                    rate_pps: rates[i],
+                    rate_pps: rate,
                     benefit_w,
                     reason,
                 });
@@ -791,10 +1081,18 @@ impl HierarchicalController {
 
     /// The pod arbiter: re-solves the greedy knapsack for apps homed in
     /// `pod` over the pod's own devices, merging one priority heap per
-    /// device in exactly the flat controller's candidate order.
+    /// device in knapsack order.
+    ///
+    /// Residents keep competing until their eviction condition sustains
+    /// (even through transient dips — that is the hysteresis), on their
+    /// current device with the stickiness premium; newcomers, and
+    /// residents eyeing another device, join only after their benefit
+    /// sustains, and a move is priced net of the amortised switchover
+    /// debit. Rejected tenants are never candidates.
     fn solve_pod(&mut self, pod: u16, selected: &mut [Option<DeviceId>]) {
         let sustain = self.config.fleet.sustain_samples;
-        let floor = pricing::floor_value(&self.config.fleet);
+        let stickiness = self.config.fleet.stickiness;
+        let floor = self.floor();
         let devices: Vec<DeviceId> = self
             .fabric
             .pod_devices(pod)
@@ -824,29 +1122,12 @@ impl HierarchicalController {
                     for (k, &d) in devices.iter().enumerate() {
                         if d == cur {
                             self.stats.candidates_scored += 1;
-                            let eff = pricing::effective_benefit_w(
-                                &self.config.fleet,
-                                &self.fabric,
-                                &self.apps[i],
-                                d,
-                                rate,
-                            );
-                            let score = pricing::per_capacity(&self.fabric, &self.apps[i], d, eff)
-                                * self.config.fleet.stickiness;
-                            push(&mut heaps, k, score, i);
+                            push(&mut heaps, k, self.score(i, d, rate) * stickiness, i);
                         } else if self.up_streaks[i] >= sustain {
                             self.stats.candidates_scored += 1;
-                            let mb = pricing::effective_benefit_w(
-                                &self.config.fleet,
-                                &self.fabric,
-                                &self.apps[i],
-                                d,
-                                rate,
-                            ) - self.migration_value(i);
+                            let mb = self.move_benefit_w(i, d, rate);
                             if mb >= floor {
-                                let score =
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, mb);
-                                push(&mut heaps, k, score, i);
+                                push(&mut heaps, k, self.per_capacity(i, d, mb), i);
                             }
                         }
                     }
@@ -858,26 +1139,17 @@ impl HierarchicalController {
                     if self.up_streaks[i] >= sustain {
                         for (k, &d) in devices.iter().enumerate() {
                             self.stats.candidates_scored += 1;
-                            let eff = pricing::effective_benefit_w(
-                                &self.config.fleet,
-                                &self.fabric,
-                                &self.apps[i],
-                                d,
-                                rate,
-                            );
+                            let eff = self.effective_benefit_w(i, d, rate);
                             if eff >= floor {
-                                let score =
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, eff);
-                                push(&mut heaps, k, score, i);
+                                push(&mut heaps, k, self.per_capacity(i, d, eff), i);
                             }
                         }
                     }
                 }
             }
         }
-        // Merge the per-device heaps: repeatedly admit the globally best
-        // candidate (identical total order to the flat controller's
-        // sorted scan restricted to this pod).
+        // Merge the per-device heaps: repeatedly admit the best
+        // candidate left in the pod.
         loop {
             let mut best: Option<usize> = None;
             for (k, heap) in heaps.iter().enumerate() {
@@ -912,97 +1184,63 @@ impl HierarchicalController {
     fn coordinate(&mut self, selected: &mut [Option<DeviceId>]) -> (Vec<bool>, Vec<bool>) {
         let n = self.apps.len();
         let sustain = self.config.fleet.sustain_samples;
-        let floor = pricing::floor_value(&self.config.fleet);
+        let floor = self.floor();
 
-        // (a) Cross-pod candidates: spills for apps their home pod could
-        // not place, and moves (including repatriation) for cross-pod
-        // residents — gated by the same sustain/floor rules as the flat
-        // controller's move candidates, and a mover must beat its own
-        // sticky score where it sits.
+        // (a) Cross-pod candidates, gated by the same sustain and floor
+        // rules as the pod arbiters' move candidates. A seated cross-pod
+        // resident may move anywhere (home included) that beats its own
+        // sticky score where it sits; an app its home pod could not place
+        // — preempted at home, or waiting in software — spills out of
+        // the pod. Residents pay the switchover debit.
         let mut cands: Vec<(f64, usize, DeviceId)> = Vec::new();
         for (i, &seat) in selected.iter().enumerate() {
-            if self.rejected[i] {
+            if self.rejected[i] || self.up_streaks[i] < sustain {
                 continue;
             }
             let rate = self.held_rates[i];
-            match self.placements[i] {
-                Placement::Device(cur) => {
-                    if self.down_streaks[i] >= sustain || self.up_streaks[i] < sustain {
-                        continue;
-                    }
-                    let cross = self.fabric.pod(cur) != self.home_pod[i];
-                    let migration = self.migration_value(i);
-                    if cross && seat == Some(cur) {
-                        let sticky = self.sticky_score(i, cur);
-                        for d in self.fabric.device_ids() {
-                            if d == cur || !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            self.stats.candidates_scored += 1;
-                            let mb = pricing::effective_benefit_w(
-                                &self.config.fleet,
-                                &self.fabric,
-                                &self.apps[i],
-                                d,
-                                rate,
-                            ) - migration;
-                            if mb >= floor {
-                                let sc = pricing::per_capacity(&self.fabric, &self.apps[i], d, mb);
-                                if sc > sticky {
-                                    cands.push((sc, i, d));
-                                }
-                            }
-                        }
-                    } else if !cross && seat.is_none() {
-                        // Preempted at home: spill out of the pod.
-                        for d in self.fabric.device_ids() {
-                            if self.fabric.pod(d) == self.home_pod[i] || !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            self.stats.candidates_scored += 1;
-                            let mb = pricing::effective_benefit_w(
-                                &self.config.fleet,
-                                &self.fabric,
-                                &self.apps[i],
-                                d,
-                                rate,
-                            ) - migration;
-                            if mb >= floor {
-                                cands.push((
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, mb),
-                                    i,
-                                    d,
-                                ));
-                            }
-                        }
-                    }
+            let home_pod = self.home_pod[i];
+            // (the device the app leaves, if resident; the sticky score a
+            // mover must beat, if it is a seated cross-pod resident)
+            let (from, sticky) = match (self.placements[i], seat) {
+                (Placement::Device(_), _) if self.down_streaks[i] >= sustain => continue,
+                (Placement::Device(cur), Some(kept))
+                    if kept == cur && self.fabric.pod(cur) != home_pod =>
+                {
+                    let sticky = self.score(i, cur, rate) * self.config.fleet.stickiness;
+                    (Some(cur), Some(sticky))
                 }
-                Placement::Software => {
-                    if seat.is_none() && self.up_streaks[i] >= sustain {
-                        for d in self.fabric.device_ids() {
-                            if self.fabric.pod(d) == self.home_pod[i] || !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            self.stats.candidates_scored += 1;
-                            let eff = pricing::effective_benefit_w(
-                                &self.config.fleet,
-                                &self.fabric,
-                                &self.apps[i],
-                                d,
-                                rate,
-                            );
-                            if eff >= floor {
-                                cands.push((
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, eff),
-                                    i,
-                                    d,
-                                ));
-                            }
-                        }
+                (Placement::Device(cur), None) if self.fabric.pod(cur) == home_pod => {
+                    (Some(cur), None)
+                }
+                (Placement::Software, None) => (None, None),
+                _ => continue,
+            };
+            for d in self.fabric.device_ids() {
+                let target = match sticky {
+                    Some(_) => Some(d) != from,
+                    None => self.fabric.pod(d) != home_pod,
+                };
+                if !target || !self.fabric.is_online(d) {
+                    continue;
+                }
+                self.stats.candidates_scored += 1;
+                let value = match from {
+                    Some(_) => self.move_benefit_w(i, d, rate),
+                    None => self.effective_benefit_w(i, d, rate),
+                };
+                if value >= floor {
+                    let score = self.per_capacity(i, d, value);
+                    if sticky.is_none_or(|s| score > s) {
+                        cands.push((score, i, d));
                     }
                 }
             }
         }
+        // Best score first. Ties break on the lower app index, then the
+        // *nearer* device (an exact score tie between two remote racks —
+        // identical budgets behind identical tier factors — must not hand
+        // the spill to the far one just because it has a lower index),
+        // then the lower device index.
         cands.sort_by(|a, b| {
             b.0.total_cmp(&a.0)
                 .then(a.1.cmp(&b.1))
@@ -1031,8 +1269,14 @@ impl HierarchicalController {
             }
         }
 
-        // (b) Fairness pass: identical to the flat controller's, planned
-        // over the whole fabric.
+        // (b) Weighted-DRF fairness pass over the whole fabric: tenants
+        // starved past their weighted window claim capacity by clipping
+        // over-entitled incumbents (dominant share above weight/Σweights
+        // over the contending tenants), most over-weighted-share first.
+        // The hand-over is planned on every feasible device and executed
+        // where the configured claim policy prefers. Clipped incumbents
+        // fall back to software this interval and re-enter through the
+        // ordinary sustain machinery.
         let mut fair_placed = vec![false; n];
         let mut fair_clipped = vec![false; n];
         let mut claimants: Vec<usize> = (0..n)
@@ -1043,6 +1287,7 @@ impl HierarchicalController {
             })
             .collect();
         if !claimants.is_empty() {
+            // Largest weighted starvation deficit first.
             claimants.sort_by(|&a, &b| {
                 let da = self.starved_streaks[a] as f64 * self.apps[a].weight;
                 let db = self.starved_streaks[b] as f64 * self.apps[b].weight;
@@ -1052,19 +1297,13 @@ impl HierarchicalController {
                 if selected[i].is_some() {
                     continue;
                 }
-                let mut plans = pricing::plan_handovers(
-                    &self.config.fleet,
-                    &self.apps,
-                    &self.starved_streaks,
-                    &self.fabric,
-                    |j| selected[j],
-                    |j| fair_placed[j],
-                    |j| self.migration_value(j),
-                    i,
-                    &self.held_rates,
-                );
+                let mut plans =
+                    self.plan_handovers(|j| selected[j], |j| fair_placed[j], i, &self.held_rates);
                 self.stats.candidates_scored += plans.len() as u64;
-                pricing::order_plans(&mut plans, self.config.fleet.claim_policy);
+                self.config.fleet.claim_policy.order(&mut plans);
+                // No plan: no feasible device has enough over-entitled
+                // capacity — the claim stays pending and the starvation
+                // streak keeps accruing.
                 if let Some(plan) = plans.first() {
                     for &e in &plan.clips {
                         self.fabric.release(e as u64);
@@ -1107,7 +1346,6 @@ impl FleetScheduler for HierarchicalController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FleetController;
     use crate::host::HostSample;
     use crate::PlacementAnalysis;
     use inc_hw::{PipelineBudget, ProgramResources, TierCost, Topology};
@@ -1190,66 +1428,6 @@ mod tests {
             s.rate_pps.to_bits(),
             s.benefit_w.to_bits(),
         )
-    }
-
-    /// With one pod and a zero dead band the hierarchical pipeline must
-    /// reproduce the flat controller exactly: same decisions, same shift
-    /// log (bit-identical rates and benefits), same admission verdicts.
-    #[test]
-    fn single_pod_zero_deadband_matches_flat_controller() {
-        let apps = || {
-            vec![
-                app("a", 7, 0.08, 2.0),
-                app("b", 6, 0.14, 2.0),
-                app("c", 4, 0.10, 2.0),
-            ]
-        };
-        let fabric = || DeviceFabric::single(PipelineBudget::tofino_like());
-        let mut flat = FleetController::new(cfg(), fabric(), apps());
-        let mut hier = HierarchicalController::new(
-            ArbiterConfig {
-                fleet: cfg(),
-                mode: ArbitrationMode::Incremental,
-                rate_deadband: 0.0,
-            },
-            fabric(),
-            apps(),
-        );
-        // A trace with offloads, an eviction, contention and recovery.
-        let rate_of = |step: u64, i: usize| -> f64 {
-            match (i, step) {
-                (1, 0..=8) => 100_000.0,
-                (1, _) => 1_000.0, // b collapses -> eviction
-                (0, _) => 100_000.0,
-                (2, 0..=4) => 500.0,
-                (2, _) => 90_000.0, // c heats up mid-run
-                _ => unreachable!(),
-            }
-        };
-        for step in 1..=24 {
-            let s: Vec<FleetSample> = (0..3)
-                .map(|i| {
-                    let r = rate_of(step, i);
-                    sample(r, r)
-                })
-                .collect();
-            let df = flat.sample(t(step), &s);
-            let dh = hier.sample(t(step), &s);
-            assert_eq!(df, dh, "decisions diverged at step {step}");
-            assert_eq!(flat.placements(), hier.placements(), "step {step}");
-            for i in 0..3 {
-                assert_eq!(
-                    flat.admission_decision(i),
-                    hier.admission_decision(i),
-                    "app {i} verdict at step {step}"
-                );
-            }
-        }
-        assert_eq!(flat.shifts().len(), hier.shifts().len());
-        for (f, h) in flat.shifts().iter().zip(hier.shifts()) {
-            assert_eq!(shift_key(f), shift_key(h));
-        }
-        assert!(!flat.shifts().is_empty(), "the trace must exercise shifts");
     }
 
     /// Incremental scheduling and a full re-score make the same decisions
@@ -1466,5 +1644,72 @@ mod tests {
         assert_eq!(after.candidates_scored, settled.candidates_scored);
         assert_eq!(after.dirty_enqueued, settled.dirty_enqueued);
         assert_eq!(after.ticks, 20);
+    }
+
+    /// A non-finite or negative measured rate reads as 0 pps: no NaN or
+    /// infinity reaches a score, a streak gate or the shift log.
+    #[test]
+    fn non_finite_and_negative_rates_read_as_zero() {
+        // One 12-stage device: a 7-stage resident worth ~12 W and a
+        // 6-stage rival worth ~3 W waiting behind it; they cannot
+        // co-reside. The 5 % dead band is on.
+        let mut ctl = HierarchicalController::new(
+            ArbiterConfig::standard(Nanos::from_secs(1)),
+            DeviceFabric::single(PipelineBudget::tofino_like()),
+            vec![app("metered", 7, 0.14, 2.0), app("rival", 6, 0.05, 2.0)],
+        );
+        let hot = sample(100_000.0, 100_000.0);
+        for step in 1..=3 {
+            ctl.sample(t(step), &[hot, hot]);
+        }
+        assert_eq!(
+            ctl.placements(),
+            &[Placement::HARDWARE, Placement::Software]
+        );
+        // The resident's network meter turns NaN while the rival goes
+        // quiet. The NaN reads as an idle device, so the resident's
+        // eviction streak builds and completes after the sustain window.
+        let sustain = ctl.config().fleet.sustain_samples;
+        let bad_meter = sample(100_000.0, f64::NAN);
+        let quiet = sample(1_000.0, 1_000.0);
+        let mut evicted_after = None;
+        for k in 1..=sustain {
+            let d = ctl.sample(t(3 + u64::from(k)), &[bad_meter, quiet]);
+            assert_eq!(ctl.held_rate(0), 0.0);
+            if d.contains(&(0, Placement::Software)) {
+                evicted_after = Some(k);
+            }
+        }
+        assert_eq!(evicted_after, Some(sustain));
+        let eviction = ctl.shifts().last().filter(|s| s.app == 0).unwrap();
+        assert_eq!(eviction.reason, ShiftReason::Benefit);
+        assert_eq!(eviction.rate_pps, 0.0);
+        // Every other kind of bad reading, on both sides of the §9.1
+        // feedback rule: real offered load for one tenant at a time,
+        // garbage in every other meter.
+        let garbage = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -250_000.0];
+        let before = ctl.shifts().len();
+        for step in 0..40u64 {
+            let bad = garbage[(step % 5) as usize];
+            let (a, b) = if (step / 10) % 2 == 0 {
+                (100_000.0, bad)
+            } else {
+                (bad, 100_000.0)
+            };
+            ctl.sample(t(10 + step), &[sample(a, bad), sample(b, bad)]);
+        }
+        assert!(ctl.shifts().len() > before + 4, "{:?}", ctl.shifts());
+        for s in ctl.shifts() {
+            assert!(
+                s.rate_pps.is_finite() && s.rate_pps >= 0.0 && s.benefit_w.is_finite(),
+                "{s:?}"
+            );
+        }
+        // A single infinite reading must not freeze the held rate under
+        // the dead band: the next finite sample moves it again.
+        ctl.sample(t(60), &[sample(f64::INFINITY, f64::INFINITY), hot]);
+        assert_eq!(ctl.held_rate(0), 0.0);
+        ctl.sample(t(61), &[sample(70_000.0, 70_000.0), hot]);
+        assert_eq!(ctl.held_rate(0), 70_000.0);
     }
 }

@@ -4,14 +4,21 @@
 //! at production scale devices are shared, capacity-bounded resources —
 //! and §9.4 widens the view from one card to a rack, where every ToR
 //! hosts its own device and the controller decides *where* a program
-//! runs, not just *whether* it is offloaded. The [`FleetController`]
-//! extends the single-app [`HostController`] design to that fleet: every
-//! sampling interval it reads one [`FleetSample`] per application, prices
-//! each app's offload benefit with its §8 [`PlacementAnalysis`] at the
+//! runs, not just *whether* it is offloaded. The fleet scheduler extends
+//! the single-app [`HostController`] design to that fleet: every sampling
+//! interval it reads one [`FleetSample`] per application, prices each
+//! app's offload benefit with its §8 [`PlacementAnalysis`] at the
 //! measured rate, applies the [`DeviceFabric`]'s locality haircut for
-//! placements away from the app's home ToR, and solves a greedy
-//! benefit-per-capacity-unit knapsack over the **(app × device)**
+//! placements away from the app's home ToR, and places programs by a
+//! greedy benefit-per-capacity-unit knapsack over the **(app × device)**
 //! candidate set.
+//!
+//! This module is the scheduler's vocabulary — apps, samples, shifts,
+//! the configuration and the [`Objective`] prices. The engine is
+//! [`HierarchicalController`] in [`arbiter`](crate::arbiter), which
+//! re-solves the knapsack only where the economics moved;
+//! [`FleetController`] is its name when built from a bare
+//! [`FleetControllerConfig`].
 //!
 //! The anti-flapping machinery is the [`HostController`]'s, generalised:
 //!
@@ -47,7 +54,8 @@
 //! rate is measured at the host ([`FleetSample::offered_pps`]); once it is
 //! hardware-resident the controller trusts only the network-measured rate
 //! ([`HostSample::hw_app_rate`]), "otherwise, the shift may be
-//! inefficient, or cause a workload to bounce back and forth".
+//! inefficient, or cause a workload to bounce back and forth". A reading
+//! that is not finite, or is negative, counts as 0 pps.
 //!
 //! # Fair sharing and admission control
 //!
@@ -99,268 +107,9 @@
 use inc_hw::{DeviceFabric, DeviceId, Placement, ProgramResources};
 use inc_sim::Nanos;
 
+use crate::arbiter::HierarchicalController;
 use crate::decision::PlacementAnalysis;
 use crate::host::HostSample;
-
-/// The scheduler's pricing formulas, factored out of [`FleetController`]
-/// so the incremental [`HierarchicalController`] scores candidates with
-/// bit-identical arithmetic (the equivalence tests depend on the two
-/// engines never drifting apart on a single float).
-///
-/// [`HierarchicalController`]: crate::arbiter::HierarchicalController
-pub(crate) mod pricing {
-    use super::*;
-
-    /// Estimated power saved by offloading `app` at `rate_pps` (§8
-    /// dynamic terms), before any locality penalty. Watts, regardless of
-    /// the configured objective.
-    pub(crate) fn raw_benefit_w(app: &FleetApp, rate_pps: f64) -> f64 {
-        let (sw, hw) = app.analysis.energy_per_second(rate_pps);
-        sw - hw
-    }
-
-    /// The objective-priced raw benefit of `app` at `rate_pps`: the §8
-    /// watts pushed through [`Objective::value_of_w`]. Identical to
-    /// [`raw_benefit_w`] under [`Objective::Joules`].
-    pub(crate) fn raw_value(config: &FleetControllerConfig, app: &FleetApp, rate_pps: f64) -> f64 {
-        config.objective.value_of_w(raw_benefit_w(app, rate_pps))
-    }
-
-    /// The objective value of placing a seat whose objective-priced raw
-    /// benefit is `raw_value` on `at`: the raw value behind the
-    /// topology's locality haircut, minus the objective-priced detour
-    /// cost. The one formula both controllers score remote seats with —
-    /// callers that cache the raw value (the incremental arbiter) and
-    /// callers that recompute it must go through here so a single float
-    /// never drifts between the engines.
-    pub(crate) fn effective_value_of(
-        config: &FleetControllerConfig,
-        fabric: &DeviceFabric,
-        home: DeviceId,
-        at: DeviceId,
-        raw_value: f64,
-        rate_pps: f64,
-    ) -> f64 {
-        raw_value * fabric.benefit_factor(home, at)
-            - config.objective.detour_value(fabric, home, at, rate_pps)
-    }
-
-    /// The objective value of placing `app` on `device`
-    /// ([`effective_value_of`] with the raw value computed in place).
-    /// Under [`Objective::Joules`] this is the historical
-    /// `effective_benefit_w` in watts, bit for bit.
-    pub(crate) fn effective_benefit_w(
-        config: &FleetControllerConfig,
-        fabric: &DeviceFabric,
-        app: &FleetApp,
-        device: DeviceId,
-        rate_pps: f64,
-    ) -> f64 {
-        effective_value_of(
-            config,
-            fabric,
-            app.home,
-            device,
-            raw_value(config, app, rate_pps),
-            rate_pps,
-        )
-    }
-
-    /// The objective-priced offload floor: what a candidate's effective
-    /// value must clear ([`FleetControllerConfig::min_benefit_w`] under
-    /// [`Objective::Joules`]).
-    pub(crate) fn floor_value(config: &FleetControllerConfig) -> f64 {
-        config.objective.value_of_w(config.min_benefit_w)
-    }
-
-    /// The amortised switchover debit of a placement expected to hold
-    /// `tenure_samples` sampling intervals, watts.
-    pub(crate) fn migration_w_for(config: &FleetControllerConfig, tenure_samples: f64) -> f64 {
-        if config.migration_cost_j <= 0.0 {
-            return 0.0;
-        }
-        config.migration_cost_j / (tenure_samples.max(1.0) * config.interval.as_secs_f64())
-    }
-
-    /// The amortised switchover debit at the *configured* tenure, watts
-    /// (the [`TenurePolicy::Fixed`] debit, and the learned policy's
-    /// fallback before an app has any shift history).
-    pub(crate) fn migration_w(config: &FleetControllerConfig) -> f64 {
-        migration_w_for(config, f64::from(config.expected_tenure_samples.max(1)))
-    }
-
-    /// `benefit_w` per capacity unit of `app`'s demand on `device` (the
-    /// knapsack ranking key), with the cost floored so a zero-demand app
-    /// yields an enormous finite score rather than a 0/0 NaN.
-    pub(crate) fn per_capacity(
-        fabric: &DeviceFabric,
-        app: &FleetApp,
-        device: DeviceId,
-        benefit_w: f64,
-    ) -> f64 {
-        let cost = fabric
-            .device(device)
-            .cost_units(&app.demand)
-            .max(f64::MIN_POSITIVE);
-        benefit_w / cost
-    }
-
-    /// Summed weights of the tenants contending for the fabric under the
-    /// given residency view, with `include` always counted (see
-    /// [`FleetController::entitlement`]).
-    pub(crate) fn contending_weight(
-        apps: &[FleetApp],
-        starved: &[u32],
-        include: usize,
-        resident: impl Fn(usize) -> bool,
-    ) -> f64 {
-        (0..apps.len())
-            .filter(|&j| j == include || resident(j) || starved[j] > 0)
-            .map(|j| apps[j].weight)
-            .sum()
-    }
-
-    /// Plans a fairness hand-over for `app` on every feasible device of
-    /// the assignment described by `fabric`/`resident_on` (see
-    /// [`FleetController::claim_plans`]). `protected` marks incumbents a
-    /// claim may not clip; `migration_value_of` prices each tenant's
-    /// switchover in objective units (per-app under
-    /// [`TenurePolicy::Learned`], the flat config debit under
-    /// [`TenurePolicy::Fixed`]).
-    #[allow(clippy::too_many_arguments)] // free function shared by both controllers
-    pub(crate) fn plan_handovers(
-        config: &FleetControllerConfig,
-        apps: &[FleetApp],
-        starved: &[u32],
-        fabric: &DeviceFabric,
-        resident_on: impl Fn(usize) -> Option<DeviceId>,
-        protected: impl Fn(usize) -> bool,
-        migration_value_of: impl Fn(usize) -> f64,
-        app: usize,
-        rates: &[f64],
-    ) -> Vec<ClaimPlan> {
-        let n = apps.len();
-        let total_w = contending_weight(apps, starved, app, |j| resident_on(j).is_some());
-        let floor = floor_value(config);
-        let mut plans = Vec::new();
-        for d in fabric.device_ids() {
-            if !fabric.is_online(d) {
-                continue;
-            }
-            if effective_benefit_w(config, fabric, &apps[app], d, rates[app]) < floor {
-                continue;
-            }
-            // The share a seat counts for against its entitlement. Under
-            // tier-weighted entitlements a remote seat is discounted by
-            // the locality factor of its distance — a cross-core seat
-            // "occupies" less of the fleet than a home-rack one, so far
-            // incumbents are clipped later and claimants must starve
-            // longer to displace them.
-            let seat_share = |j: usize| -> f64 {
-                let share = fabric.device(d).dominant_share(j as u64);
-                match config.entitlement {
-                    EntitlementPolicy::Uniform => share,
-                    EntitlementPolicy::TierWeighted => {
-                        share * fabric.benefit_factor(apps[j].home, d)
-                    }
-                }
-            };
-            // Simulate the clip sequence on a scratch ledger: release the
-            // most over-weighted over-entitled incumbents until the
-            // claimant fits (or the clippable set runs out).
-            let mut ledger = fabric.device(d).clone();
-            let mut clips: Vec<usize> = Vec::new();
-            if ledger.admit(app as u64, apps[app].demand).is_err() {
-                let mut over: Vec<usize> = (0..n)
-                    .filter(|&j| {
-                        resident_on(j) == Some(d)
-                            && !protected(j)
-                            && seat_share(j) > apps[j].weight / total_w
-                    })
-                    .collect();
-                over.sort_by(|&a, &b| {
-                    let sa = seat_share(a) / apps[a].weight;
-                    let sb = seat_share(b) / apps[b].weight;
-                    sb.total_cmp(&sa).then(a.cmp(&b))
-                });
-                let mut fits = false;
-                for j in over {
-                    ledger.release(j as u64);
-                    clips.push(j);
-                    if ledger.admit(app as u64, apps[app].demand).is_ok() {
-                        fits = true;
-                        break;
-                    }
-                }
-                if !fits {
-                    continue;
-                }
-            }
-            let clipped_benefit_w = clips
-                .iter()
-                .map(|&j| effective_benefit_w(config, fabric, &apps[j], d, rates[j]))
-                .sum();
-            // Under the fixed policy every debit is the same, so the sum
-            // is kept as a multiply (bit-compatible with the historical
-            // arithmetic); per-app estimates must genuinely be summed.
-            let migration_w = match config.tenure {
-                TenurePolicy::Fixed => {
-                    config.objective.value_of_w(migration_w(config)) * (clips.len() + 1) as f64
-                }
-                TenurePolicy::Learned { .. } => {
-                    clips.iter().map(|&j| migration_value_of(j)).sum::<f64>()
-                        + migration_value_of(app)
-                }
-            };
-            plans.push(ClaimPlan {
-                device: d,
-                migration_w,
-                clips,
-                clipped_benefit_w,
-                score: per_capacity(
-                    fabric,
-                    &apps[app],
-                    d,
-                    effective_benefit_w(config, fabric, &apps[app], d, rates[app]),
-                ),
-            });
-        }
-        plans
-    }
-
-    /// Orders hand-over plans by the given policy; the first entry is
-    /// the one a claim executes.
-    pub(crate) fn order_plans(plans: &mut [ClaimPlan], policy: ClaimPolicy) {
-        match policy {
-            ClaimPolicy::BestScore => {
-                plans.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.device.cmp(&b.device)))
-            }
-            ClaimPolicy::MinCost => plans.sort_by(|a, b| {
-                a.total_cost_w()
-                    .total_cmp(&b.total_cost_w())
-                    .then(b.score.total_cmp(&a.score))
-                    .then(a.device.cmp(&b.device))
-            }),
-        }
-    }
-
-    /// Queued samples after which a tenant of `weight` files a fairness
-    /// claim: the starvation window scaled down by the weight, floored
-    /// by the sustain window.
-    pub(crate) fn starvation_threshold(config: &FleetControllerConfig, weight: f64) -> u32 {
-        let window = config.starvation_window;
-        if window == u32::MAX {
-            return u32::MAX;
-        }
-        let scaled = (f64::from(window) / weight).ceil();
-        let scaled = if scaled >= f64::from(u32::MAX) {
-            u32::MAX
-        } else {
-            scaled as u32
-        };
-        scaled.max(config.sustain_samples).max(1)
-    }
-}
 
 /// One schedulable application sharing the device fabric.
 #[derive(Clone, Debug)]
@@ -424,6 +173,24 @@ pub enum ClaimPolicy {
     MinCost,
 }
 
+impl ClaimPolicy {
+    /// Orders hand-over plans by this policy; the first entry is the one
+    /// a claim executes.
+    pub(crate) fn order(self, plans: &mut [ClaimPlan]) {
+        match self {
+            ClaimPolicy::BestScore => {
+                plans.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.device.cmp(&b.device)))
+            }
+            ClaimPolicy::MinCost => plans.sort_by(|a, b| {
+                a.total_cost_w()
+                    .total_cmp(&b.total_cost_w())
+                    .then(b.score.total_cmp(&a.score))
+                    .then(a.device.cmp(&b.device))
+            }),
+        }
+    }
+}
+
 /// One feasible fairness hand-over: where a claimant could be placed,
 /// whom that would clip, and what the move forfeits.
 #[derive(Clone, Debug)]
@@ -477,6 +244,13 @@ pub enum ShiftReason {
 }
 
 /// Per-application controller inputs for one sampling interval.
+///
+/// The scheduler reads one rate from each sample (§9.1): the
+/// network-measured [`HostSample::hw_app_rate`] while the app is
+/// offloaded, [`FleetSample::offered_pps`] while it runs in software. A
+/// reading that is not finite, or is negative, is taken as 0 pps — a
+/// broken meter looks like an idle tenant, so it can neither win a
+/// score with a NaN nor freeze the held rate with an infinity.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetSample {
     /// The host-side signals (RAPL, CPU share, network rate feedback).
@@ -493,11 +267,29 @@ pub struct FleetSample {
     pub offered_pps: f64,
 }
 
+impl FleetSample {
+    /// The rate the scheduler trusts for an app at `placement`: the
+    /// side of the §9.1 feedback rule that can see its load, with a
+    /// non-finite or negative reading taken as 0 pps.
+    pub(crate) fn trusted_rate(&self, placement: Placement) -> f64 {
+        let rate = if placement.is_offloaded() {
+            self.host.hw_app_rate
+        } else {
+            self.offered_pps
+        };
+        if rate.is_finite() && rate >= 0.0 {
+            rate
+        } else {
+            0.0
+        }
+    }
+}
+
 /// The pricing rule behind an [`Objective`]: how the raw §8 watts of an
 /// offload and the link power of a placement detour translate into the
 /// units the scheduler actually optimises. Factored as a trait so
-/// analysis code can price placements under any rule; the controllers
-/// consume it through the [`Objective`] enum carried by
+/// analysis code can price placements under any rule; the scheduler
+/// consumes it through the [`Objective`] enum carried by
 /// [`FleetControllerConfig::objective`].
 pub trait PriceRule {
     /// Price `watts` of host-side §8 saving (or debit) in objective
@@ -522,9 +314,8 @@ pub trait PriceRule {
 /// knapsack, hysteresis floors, migration debits and fairness hand-over
 /// prices are all denominated in. Gray's *Distributed Computing
 /// Economics* argues placement is a price question, and the price is
-/// not always energy — the objective makes the currency pluggable while
-/// keeping every decision formula shared between the flat and
-/// hierarchical controllers.
+/// not always energy — the objective makes the currency pluggable: every
+/// score, floor and debit the scheduler compares passes through it.
 ///
 /// [`Objective::Joules`] is the default and reproduces the historical
 /// watts-denominated behaviour bit for bit. A [`Objective::Dollar`]
@@ -860,7 +651,7 @@ impl FleetControllerConfig {
 
     /// Panics unless the economic knobs are usable: a finite
     /// non-negative migration cost, valid objective prices, and a
-    /// learned-tenure gain in `(0, 1]`. Both controllers call this at
+    /// learned-tenure gain in `(0, 1]`. The scheduler calls this at
     /// construction so a bad price fails loudly instead of silently
     /// mis-ranking every candidate.
     pub(crate) fn validate(&self) {
@@ -876,6 +667,23 @@ impl FleetControllerConfig {
                 "learned-tenure alpha {alpha} must be in (0, 1]"
             );
         }
+    }
+
+    /// Queued samples after which a tenant of `weight` files a fairness
+    /// claim: the starvation window scaled down by the weight, floored
+    /// by the sustain window.
+    pub(crate) fn starvation_threshold(&self, weight: f64) -> u32 {
+        let window = self.starvation_window;
+        if window == u32::MAX {
+            return u32::MAX;
+        }
+        let scaled = (f64::from(window) / weight).ceil();
+        let scaled = if scaled >= f64::from(u32::MAX) {
+            u32::MAX
+        } else {
+            scaled as u32
+        };
+        scaled.max(self.sustain_samples).max(1)
     }
 }
 
@@ -899,7 +707,12 @@ pub struct FleetShift {
     pub reason: ShiftReason,
 }
 
-/// The multi-application on-demand scheduler over a device fabric.
+/// The fleet scheduler under the name the rigs use: the one incremental
+/// pipeline, [`HierarchicalController`], which [`FleetController::new`]
+/// builds from a bare [`FleetControllerConfig`] with no rate dead band
+/// (see [`ArbiterConfig`]'s `From` conversion).
+///
+/// [`ArbiterConfig`]: crate::arbiter::ArbiterConfig
 ///
 /// # Examples
 ///
@@ -934,713 +747,18 @@ pub struct FleetShift {
 /// );
 /// assert_eq!(ctl.placements(), &[Placement::Software, Placement::Software]);
 /// ```
-#[derive(Clone, Debug)]
-pub struct FleetController {
-    config: FleetControllerConfig,
-    fabric: DeviceFabric,
-    apps: Vec<FleetApp>,
-    placements: Vec<Placement>,
-    up_streaks: Vec<u32>,
-    down_streaks: Vec<u32>,
-    /// Consecutive samples each app has spent queued (software-placed
-    /// with a sustained profitable demand but no capacity).
-    starved_streaks: Vec<u32>,
-    /// Cumulative queued samples per app over the controller's lifetime
-    /// (the back-pressure metric surfaced through the fleet timeline).
-    queued_intervals: Vec<u64>,
-    /// Whether each resident app holds fair-share tenure (it was placed
-    /// by a fairness claim and contention persists).
-    fair_hold: Vec<bool>,
-    /// Up-front admission verdict: demand unfit on every device.
-    rejected: Vec<bool>,
-    /// Per-app online tenure estimate (fed by the shift log; priced
-    /// only under [`TenurePolicy::Learned`]).
-    tenures: Vec<TenureEstimator>,
-    shifts: Vec<FleetShift>,
-}
-
-impl FleetController {
-    /// Creates a scheduler with every app starting in software placement.
-    ///
-    /// Tenants whose demand fits no device in the fabric even when empty
-    /// are rejected up front (see [`FleetController::admission_decision`]):
-    /// they are never candidates and never queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an app's home device is not in the fabric, or if a
-    /// weight is not finite and positive.
-    pub fn new(config: FleetControllerConfig, fabric: DeviceFabric, apps: Vec<FleetApp>) -> Self {
-        for app in &apps {
-            assert!(
-                app.home.index() < fabric.device_count(),
-                "app {:?} is homed at {} but the fabric has {} devices",
-                app.name,
-                app.home,
-                fabric.device_count()
-            );
-            assert!(
-                app.weight.is_finite() && app.weight > 0.0,
-                "app {:?} has a non-positive weight {}",
-                app.name,
-                app.weight
-            );
-        }
-        config.validate();
-        let rejected = apps
-            .iter()
-            .map(|app| {
-                fabric
-                    .device_ids()
-                    .all(|d| fabric.device(d).budget().admit(&app.demand).is_err())
-            })
-            .collect();
-        let n = apps.len();
-        FleetController {
-            config,
-            fabric,
-            apps,
-            placements: vec![Placement::Software; n],
-            up_streaks: vec![0; n],
-            down_streaks: vec![0; n],
-            starved_streaks: vec![0; n],
-            queued_intervals: vec![0; n],
-            fair_hold: vec![false; n],
-            rejected,
-            tenures: vec![TenureEstimator::new(); n],
-            shifts: Vec::new(),
-        }
-    }
-
-    /// Adopts pre-existing placements (e.g. a static deployment the
-    /// controller takes over, or a pinned configuration when
-    /// `sustain_samples` is `u32::MAX`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device-resident subset does not fit its devices
-    /// (`placements` must be feasible) or its length differs from the
-    /// number of apps.
-    pub fn with_initial_placements(mut self, placements: &[Placement]) -> Self {
-        assert_eq!(placements.len(), self.apps.len());
-        self.fabric.clear();
-        for (i, &p) in placements.iter().enumerate() {
-            if let Placement::Device(d) = p {
-                self.fabric
-                    .admit(d, i as u64, self.apps[i].demand)
-                    .expect("initial placements must fit the fabric");
-            }
-        }
-        self.placements = placements.to_vec();
-        self
-    }
-
-    /// Current per-app placements, indexed like the `apps` vector.
-    pub fn placements(&self) -> &[Placement] {
-        &self.placements
-    }
-
-    /// The scheduled applications.
-    pub fn apps(&self) -> &[FleetApp] {
-        &self.apps
-    }
-
-    /// The device fabric (its ledgers reflect the current placements).
-    pub fn fabric(&self) -> &DeviceFabric {
-        &self.fabric
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FleetControllerConfig {
-        &self.config
-    }
-
-    /// Marks a fabric device alive or dead (the chaos suite's
-    /// device-kill / ToR-partition lever). Tenants of a dead device are
-    /// force-evicted to software on the next [`FleetController::sample`]
-    /// as [`ShiftReason::DeviceLoss`] shifts, and the device is skipped
-    /// as a candidate until revived.
-    pub fn set_device_online(&mut self, id: DeviceId, online: bool) {
-        self.fabric.set_online(id, online);
-    }
-
-    /// Re-targets the offload floor
-    /// ([`FleetControllerConfig::min_benefit_w`]) mid-run — the
-    /// power-budget knob the chaos suite flaps. A higher floor demands
-    /// more §8 savings per offload (a tighter budget); existing tenants
-    /// re-justify themselves against it through the ordinary eviction
-    /// hysteresis, so a flap shorter than the sustain window moves
-    /// nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor_w` is not finite and non-negative.
-    pub fn set_min_benefit_w(&mut self, floor_w: f64) {
-        assert!(
-            floor_w.is_finite() && floor_w >= 0.0,
-            "offload floor must be finite and non-negative"
-        );
-        self.config.min_benefit_w = floor_w;
-    }
-
-    /// The decision log.
-    pub fn shifts(&self) -> &[FleetShift] {
-        &self.shifts
-    }
-
-    /// The current admission verdict for `app`: [`AdmissionDecision::Reject`]
-    /// when its demand fits no device even empty (decided up front and
-    /// permanent for a fixed fabric), [`AdmissionDecision::Queue`] while
-    /// it sustains a profitable demand in software without receiving
-    /// capacity, [`AdmissionDecision::Admit`] otherwise.
-    pub fn admission_decision(&self, app: usize) -> AdmissionDecision {
-        if self.rejected[app] {
-            AdmissionDecision::Reject
-        } else if self.starved_streaks[app] > 0 {
-            AdmissionDecision::Queue
-        } else {
-            AdmissionDecision::Admit
-        }
-    }
-
-    /// Consecutive samples `app` has currently spent queued.
-    pub fn starved_streak(&self, app: usize) -> u32 {
-        self.starved_streaks[app]
-    }
-
-    /// Cumulative queued samples per app over the run — the back-pressure
-    /// each tenant has absorbed, indexed like the `apps` vector.
-    pub fn queued_intervals(&self) -> &[u64] {
-        &self.queued_intervals
-    }
-
-    /// Queued samples after which `app` files a fairness claim: the
-    /// configured starvation window scaled down by the app's weight,
-    /// floored by the sustain window (shares must never change faster
-    /// than ordinary hysteresis allows).
-    pub fn starvation_threshold(&self, app: usize) -> u32 {
-        pricing::starvation_threshold(&self.config, self.apps[app].weight)
-    }
-
-    /// The weighted-DRF entitlement of `app`: its weight over the summed
-    /// weights of every tenant currently contending for the fabric
-    /// (resident or queued), itself always included. 1.0 when it would
-    /// contend alone.
-    pub fn entitlement(&self, app: usize) -> f64 {
-        self.apps[app].weight / self.contending_weight(app, |i| self.placements[i].is_offloaded())
-    }
-
-    /// Summed weights of the tenants contending for the fabric: those
-    /// `resident` under the given view — the current placements when
-    /// reporting, the in-progress candidate assignment mid-decision —
-    /// or currently queued, with `include` always counted. The one
-    /// definition shared by [`FleetController::entitlement`] and the
-    /// fairness pass, so the entitlement a claim clips against can never
-    /// drift from the one the accessor reports.
-    fn contending_weight(&self, include: usize, resident: impl Fn(usize) -> bool) -> f64 {
-        pricing::contending_weight(&self.apps, &self.starved_streaks, include, resident)
-    }
-
-    /// The dominant share `app` currently holds on its device (0.0 in
-    /// software): the quantity fairness compares against
-    /// [`FleetController::entitlement`].
-    pub fn dominant_share(&self, app: usize) -> f64 {
-        self.fabric.dominant_share(app as u64)
-    }
-
-    /// The fairness hand-over plans available to `app` against the
-    /// **current** placements, given one trusted rate per app: every
-    /// device where its penalty-adjusted benefit clears the floor and a
-    /// clip sequence of over-entitled incumbents frees enough room, with
-    /// the forfeited benefit and migration debits of each. Unordered;
-    /// rank with the configured policy's rule ([`ClaimPlan::total_cost_w`]
-    /// ascending for min-cost, [`ClaimPlan::score`] descending for
-    /// best-score). What a claim would see if it fired this instant —
-    /// exposed for analysis and property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates.len()` differs from the number of apps.
-    pub fn claim_plans(&self, app: usize, rates: &[f64]) -> Vec<ClaimPlan> {
-        assert_eq!(rates.len(), self.apps.len(), "one rate per app");
-        self.plan_handovers(
-            &self.fabric,
-            |j| self.placements[j].device(),
-            |_| false,
-            app,
-            rates,
-        )
-    }
-
-    /// Estimated power saved by offloading `app` at `rate_pps` (§8 dynamic
-    /// terms): software watts minus network watts, before any locality
-    /// penalty. Negative when software is cheaper. Always watts — the
-    /// configured objective prices this into decision units.
-    pub fn benefit_w(&self, app: usize, rate_pps: f64) -> f64 {
-        pricing::raw_benefit_w(&self.apps[app], rate_pps)
-    }
-
-    /// The objective value of placing `app` on `device` at `rate_pps`:
-    /// the objective-priced raw benefit scaled by the topology's
-    /// locality factor (1.0 at home, the hop tier's haircut elsewhere),
-    /// minus the objective-priced detour cost at that rate. Under the
-    /// default [`Objective::Joules`] this is watts — the historical
-    /// `effective_benefit_w` — bit for bit.
-    pub fn effective_benefit_w(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
-        pricing::effective_benefit_w(
-            &self.config,
-            &self.fabric,
-            &self.apps[app],
-            device,
-            rate_pps,
-        )
-    }
-
-    /// The amortised switchover debit at the configured tenure, watts:
-    /// the migration cost spread over
-    /// [`FleetControllerConfig::expected_tenure_samples`].
-    pub fn migration_w(&self) -> f64 {
-        pricing::migration_w(&self.config)
-    }
-
-    /// The tenure a new placement of `app` is expected to hold, in
-    /// sampling intervals: the config constant under
-    /// [`TenurePolicy::Fixed`], the app's own EWMA estimate (with the
-    /// config constant as fallback) under [`TenurePolicy::Learned`].
-    pub fn expected_tenure_samples(&self, app: usize) -> f64 {
-        match self.config.tenure {
-            TenurePolicy::Fixed => f64::from(self.config.expected_tenure_samples.max(1)),
-            TenurePolicy::Learned { .. } => {
-                self.tenures[app].expected_samples(self.config.expected_tenure_samples)
-            }
-        }
-    }
-
-    /// The app's online tenure estimator (maintained from the shift log
-    /// regardless of policy; priced only under
-    /// [`TenurePolicy::Learned`]).
-    pub fn tenure_estimator(&self, app: usize) -> &TenureEstimator {
-        &self.tenures[app]
-    }
-
-    /// The objective-priced switchover debit charged to a move of `app`:
-    /// its migration cost amortised over [`Self::expected_tenure_samples`]
-    /// and pushed through the objective. Equals [`Self::migration_w`]
-    /// under the default fixed-tenure joule pricing.
-    pub fn app_migration_w(&self, app: usize) -> f64 {
-        self.migration_value(app)
-    }
-
-    /// The objective-priced per-app migration debit (the decision-side
-    /// form of [`Self::app_migration_w`]). Under `Fixed` tenure this
-    /// must reduce to the historical flat debit bit for bit, so the
-    /// fixed arm bypasses the estimator entirely.
-    fn migration_value(&self, app: usize) -> f64 {
-        let watts = match self.config.tenure {
-            TenurePolicy::Fixed => pricing::migration_w(&self.config),
-            TenurePolicy::Learned { .. } => pricing::migration_w_for(
-                &self.config,
-                self.tenures[app].expected_samples(self.config.expected_tenure_samples),
-            ),
-        };
-        self.config.objective.value_of_w(watts)
-    }
-
-    /// The value of *moving* `app` from its current device to `device`:
-    /// the effective value there, debited by the objective-priced
-    /// amortised switchover cost. This is what a device-to-device
-    /// candidate must clear the floor with and is scored by.
-    pub fn move_benefit_w(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
-        self.effective_benefit_w(app, device, rate_pps) - self.migration_value(app)
-    }
-
-    /// Benefit per capacity unit of placing `app` on `device`: the
-    /// knapsack ranking key used by [`FleetController::sample`]. The cost
-    /// is floored so a degenerate zero-demand app yields an (enormous)
-    /// finite score rather than a NaN from 0/0.
-    pub fn score(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
-        self.per_capacity(self.effective_benefit_w(app, device, rate_pps), app, device)
-    }
-
-    /// `benefit_w` per capacity unit of `app`'s demand on `device`.
-    fn per_capacity(&self, benefit_w: f64, app: usize, device: DeviceId) -> f64 {
-        pricing::per_capacity(&self.fabric, &self.apps[app], device, benefit_w)
-    }
-
-    /// The rate estimate the controller trusts for `app` given its current
-    /// placement (§9.1 feedback rule).
-    fn trusted_rate(&self, app: usize, s: &FleetSample) -> f64 {
-        if self.placements[app].is_offloaded() {
-            s.host.hw_app_rate
-        } else {
-            s.offered_pps
-        }
-    }
-
-    /// Plans a fairness hand-over for `app` on every feasible device of
-    /// the assignment described by `fabric`/`resident_on`: devices where
-    /// the claimant's penalty-adjusted benefit clears the floor and
-    /// enough over-entitled, unprotected capacity exists. `protected`
-    /// marks incumbents a claim may not clip (tenants placed by a claim
-    /// in the same decision pass).
-    fn plan_handovers(
-        &self,
-        fabric: &DeviceFabric,
-        resident_on: impl Fn(usize) -> Option<DeviceId>,
-        protected: impl Fn(usize) -> bool,
-        app: usize,
-        rates: &[f64],
-    ) -> Vec<ClaimPlan> {
-        pricing::plan_handovers(
-            &self.config,
-            &self.apps,
-            &self.starved_streaks,
-            fabric,
-            resident_on,
-            protected,
-            |j| self.migration_value(j),
-            app,
-            rates,
-        )
-    }
-
-    /// Orders hand-over plans by the given policy; the first entry is the
-    /// one a claim executes.
-    fn order_plans(plans: &mut [ClaimPlan], policy: ClaimPolicy) {
-        pricing::order_plans(plans, policy)
-    }
-
-    /// Feeds one sample per app; returns the placement changes to execute
-    /// (empty most intervals).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len()` differs from the number of apps.
-    pub fn sample(&mut self, now: Nanos, samples: &[FleetSample]) -> Vec<(usize, Placement)> {
-        assert_eq!(samples.len(), self.apps.len(), "one sample per app");
-        let n = self.apps.len();
-        let rates: Vec<f64> = (0..n).map(|i| self.trusted_rate(i, &samples[i])).collect();
-        let raw_values: Vec<f64> = (0..n)
-            .map(|i| pricing::raw_value(&self.config, &self.apps[i], rates[i]))
-            .collect();
-        let floor = pricing::floor_value(&self.config);
-
-        // Failure response precedes everything else: tenants of a dead
-        // (offline) device cannot wait out hysteresis, so they are
-        // force-evicted to software before streaks and candidacy run.
-        // The eviction resets the evictee's streaks like any other
-        // shift, so re-offload onto a live device goes back through the
-        // ordinary sustain machinery — bounded by one sustain window,
-        // which is the recovery deadline the chaos suite pins.
-        let mut decisions: Vec<(usize, Placement)> = Vec::new();
-        for i in 0..n {
-            if let Placement::Device(d) = self.placements[i] {
-                if !self.fabric.is_online(d) {
-                    self.fabric.release(i as u64);
-                    self.placements[i] = Placement::Software;
-                    self.up_streaks[i] = 0;
-                    self.down_streaks[i] = 0;
-                    self.starved_streaks[i] = 0;
-                    self.fair_hold[i] = false;
-                    self.tenures[i].observe_shift(
-                        now,
-                        self.config.interval,
-                        self.config.tenure.ewma_alpha(),
-                    );
-                    self.shifts.push(FleetShift {
-                        at: now,
-                        app: i,
-                        to: Placement::Software,
-                        rate_pps: rates[i],
-                        benefit_w: raw_values[i],
-                        reason: ShiftReason::DeviceLoss,
-                    });
-                    decisions.push((i, Placement::Software));
-                }
-            }
-        }
-
-        // Streak accounting (the HostController sustain rule, per app).
-        // The up-streak — consecutive samples of raw value above the
-        // floor since the app's last placement change — gates *entering*
-        // a device: a software app's first offload and, equally, a
-        // resident app's move to a different ToR. A resident app is
-        // additionally judged by the value it actually delivers where
-        // it runs (haircut included) for the eviction streak.
-        for i in 0..n {
-            if raw_values[i] >= floor {
-                self.up_streaks[i] = self.up_streaks[i].saturating_add(1);
-            } else {
-                self.up_streaks[i] = 0;
-            }
-            match self.placements[i] {
-                Placement::Software => self.down_streaks[i] = 0,
-                Placement::Device(d) => {
-                    let delivered = self.effective_benefit_w(i, d, rates[i]);
-                    if delivered < floor * self.config.evict_fraction {
-                        self.down_streaks[i] = self.down_streaks[i].saturating_add(1);
-                    } else {
-                        self.down_streaks[i] = 0;
-                    }
-                }
-            }
-        }
-
-        // Candidate set over (app × device): residents keep competing
-        // until their eviction condition sustains (even through transient
-        // dips — that is the hysteresis); newcomers join only after their
-        // benefit sustains. A resident's candidacy on its *current*
-        // device carries the stickiness premium; on any other device it
-        // is priced like a fresh offload, so cross-ToR moves also fight
-        // the hysteresis. Rejected tenants (demand unfit everywhere) are
-        // never candidates: admission control keeps them out up front
-        // instead of letting them lose the knapsack forever.
-        let mut candidates: Vec<(f64, usize, DeviceId)> = Vec::new();
-        for (i, &rate) in rates.iter().enumerate() {
-            if self.rejected[i] {
-                continue;
-            }
-            match self.placements[i] {
-                Placement::Device(cur) => {
-                    if self.down_streaks[i] < self.config.sustain_samples {
-                        for d in self.fabric.device_ids() {
-                            if !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            if d == cur {
-                                candidates.push((
-                                    self.score(i, d, rate) * self.config.stickiness,
-                                    i,
-                                    d,
-                                ));
-                            } else if self.up_streaks[i] >= self.config.sustain_samples
-                                && self.move_benefit_w(i, d, rate) >= floor
-                            {
-                                // A cross-ToR move is a fresh offload
-                                // (it needs its own sustained
-                                // profitability, so a pinned controller
-                                // or a briefly hot app never hops racks)
-                                // *and* it pays the switchover: the
-                                // candidate is priced net of the
-                                // amortised migration debit, so a hop
-                                // worth less than the reprogramming it
-                                // triggers loses to staying put.
-                                candidates.push((
-                                    self.per_capacity(self.move_benefit_w(i, d, rate), i, d),
-                                    i,
-                                    d,
-                                ));
-                            }
-                        }
-                    }
-                }
-                Placement::Software => {
-                    if self.up_streaks[i] >= self.config.sustain_samples {
-                        for d in self.fabric.device_ids() {
-                            if !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            if self.effective_benefit_w(i, d, rate) >= floor {
-                                candidates.push((self.score(i, d, rate), i, d));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Greedy knapsack: best benefit-per-capacity-unit first. Ties
-        // break on the lower app index, then the *nearer* device (an
-        // exact score tie between two remote racks — identical budgets
-        // behind identical tier factors — must not hand the spill to the
-        // far one just because it has a lower index), then the lower
-        // device index. Fairness-placed
-        // incumbents hold *tenure*: they are pre-seeded onto their
-        // device ahead of the score order, so a raw-score rival cannot
-        // undo a fair-share hand-over three samples after it happened —
-        // it must go through the starvation protocol like everyone else.
-        // Tenure lasts until the incumbent leaves its device: its own
-        // sustained eviction condition, or a rival's successful claim.
-        candidates.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then(a.1.cmp(&b.1))
-                .then_with(|| {
-                    let da = self.fabric.distance(self.apps[a.1].home, a.2);
-                    let db = self.fabric.distance(self.apps[b.1].home, b.2);
-                    da.cmp(&db)
-                })
-                .then(a.2.cmp(&b.2))
-        });
-        let mut chosen = self.fabric.fresh();
-        let mut selected: Vec<Option<DeviceId>> = vec![None; n];
-        for (i, slot) in selected.iter_mut().enumerate() {
-            if let Placement::Device(d) = self.placements[i] {
-                if self.fair_hold[i] && self.down_streaks[i] < self.config.sustain_samples {
-                    chosen
-                        .admit(d, i as u64, self.apps[i].demand)
-                        .expect("a held residency fits an empty fabric");
-                    *slot = Some(d);
-                }
-            }
-        }
-        for &(_, i, d) in &candidates {
-            if selected[i].is_none() && chosen.admit(d, i as u64, self.apps[i].demand).is_ok() {
-                selected[i] = Some(d);
-            }
-        }
-
-        // Weighted-DRF fairness pass: tenants starved past their
-        // weighted window claim capacity by clipping over-entitled
-        // incumbents (dominant share above weight/Σweights over the
-        // contending tenants), most over-weighted-share first. The
-        // hand-over is planned on every feasible device and executed
-        // where the configured claim policy prefers — min-cost by
-        // default: least clipped benefit plus migration debits, so the
-        // claimant's entitlement is bought at the smallest energy price.
-        // Clipped incumbents fall back to software this interval and
-        // re-enter through the ordinary sustain machinery.
-        let mut fair_placed = vec![false; n];
-        let mut fair_clipped = vec![false; n];
-        let mut claimants: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !self.rejected[i]
-                    && selected[i].is_none()
-                    && self.starved_streaks[i] >= self.starvation_threshold(i)
-            })
-            .collect();
-        if !claimants.is_empty() {
-            // Largest weighted starvation deficit first.
-            claimants.sort_by(|&a, &b| {
-                let da = self.starved_streaks[a] as f64 * self.apps[a].weight;
-                let db = self.starved_streaks[b] as f64 * self.apps[b].weight;
-                db.total_cmp(&da).then(a.cmp(&b))
-            });
-            for &i in &claimants {
-                if selected[i].is_some() {
-                    continue;
-                }
-                let mut plans =
-                    self.plan_handovers(&chosen, |j| selected[j], |j| fair_placed[j], i, &rates);
-                Self::order_plans(&mut plans, self.config.claim_policy);
-                // No plan: no feasible device has enough over-entitled
-                // capacity — the claim stays pending and the starvation
-                // streak keeps accruing.
-                if let Some(plan) = plans.first() {
-                    for &e in &plan.clips {
-                        chosen.release(e as u64);
-                        selected[e] = None;
-                        fair_clipped[e] = true;
-                    }
-                    chosen
-                        .admit(plan.device, i as u64, self.apps[i].demand)
-                        .expect("a planned hand-over fits by construction");
-                    selected[i] = Some(plan.device);
-                    fair_placed[i] = true;
-                }
-            }
-        }
-
-        // Execute the diff between the chosen assignment and the current
-        // one (appending to any DeviceLoss evictions recorded above). A
-        // cross-device move is a single decision (the executor tears
-        // down one residency and programs the other).
-        let want_of = |s: Option<DeviceId>| match s {
-            Some(d) => Placement::Device(d),
-            None => Placement::Software,
-        };
-        // Snapshots exist only for reason tagging; most intervals decide
-        // nothing and should not pay the two allocations.
-        let changed = (0..n).any(|i| want_of(selected[i]) != self.placements[i]);
-        let prev_placements = if changed {
-            self.placements.clone()
-        } else {
-            Vec::new()
-        };
-        let prev_down = if changed {
-            self.down_streaks.clone()
-        } else {
-            Vec::new()
-        };
-        for i in 0..n {
-            let want = want_of(selected[i]);
-            if want != self.placements[i] {
-                let reason = if fair_placed[i] || fair_clipped[i] {
-                    ShiftReason::FairShare
-                } else if let (Placement::Device(d), true) = (want, self.starved_streaks[i] > 0) {
-                    // A queued tenant entering capacity that freed up on
-                    // its own (no incumbent displaced except by its
-                    // sustained low-benefit eviction) is the admission
-                    // queue draining; displacing a healthy incumbent by
-                    // raw score is still a benefit decision.
-                    let preempted = (0..n).any(|j| {
-                        j != i
-                            && prev_placements[j] == Placement::Device(d)
-                            && selected[j] != Some(d)
-                            && prev_down[j] < self.config.sustain_samples
-                    });
-                    if preempted {
-                        ShiftReason::Benefit
-                    } else {
-                        ShiftReason::Admission
-                    }
-                } else {
-                    ShiftReason::Benefit
-                };
-                self.placements[i] = want;
-                self.up_streaks[i] = 0;
-                self.down_streaks[i] = 0;
-                self.starved_streaks[i] = 0;
-                self.fair_hold[i] = fair_placed[i];
-                self.tenures[i].observe_shift(
-                    now,
-                    self.config.interval,
-                    self.config.tenure.ewma_alpha(),
-                );
-                let benefit_w = match want {
-                    Placement::Device(d) => self.effective_benefit_w(i, d, rates[i]),
-                    Placement::Software => raw_values[i],
-                };
-                self.shifts.push(FleetShift {
-                    at: now,
-                    app: i,
-                    to: want,
-                    rate_pps: rates[i],
-                    benefit_w,
-                    reason,
-                });
-                decisions.push((i, want));
-            }
-        }
-        self.fabric = chosen;
-
-        // Queue accounting (post-decision): a tenant is queued when it
-        // sustains a profitable demand in software but received no
-        // capacity this interval.
-        for i in 0..n {
-            let queued = !self.rejected[i]
-                && self.placements[i] == Placement::Software
-                && self.up_streaks[i] >= self.config.sustain_samples;
-            if queued {
-                self.starved_streaks[i] = self.starved_streaks[i].saturating_add(1);
-                self.queued_intervals[i] += 1;
-            } else {
-                self.starved_streaks[i] = 0;
-            }
-        }
-        decisions
-    }
-}
+pub type FleetController = HierarchicalController;
 
 /// The scheduling surface the fleet harness drives.
 ///
 /// [`run_fleet_controlled`] only needs the sample/apply loop: feed one
 /// [`FleetSample`] per app per interval, execute the returned placement
-/// changes, and read the admission book-keeping at the end. Both the
-/// flat [`FleetController`] and the hierarchical pod arbiter
-/// ([`HierarchicalController`]) expose that surface, so the harness —
-/// and every rig built on it — is generic over which one arbitrates.
+/// changes, and read the admission book-keeping at the end.
+/// [`HierarchicalController`] implements it; the harness is generic over
+/// the trait so a wrapper (a tracing or recording adapter) can stand in
+/// for the scheduler without the harness knowing.
 ///
 /// [`run_fleet_controlled`]: crate::system::run_fleet_controlled
-/// [`HierarchicalController`]: crate::arbiter::HierarchicalController
 pub trait FleetScheduler {
     /// The sampling interval the harness steps by.
     fn interval(&self) -> Nanos;
@@ -1655,27 +773,6 @@ pub trait FleetScheduler {
     fn admission_decision(&self, app: usize) -> AdmissionDecision;
     /// Cumulative queued samples per app over the run.
     fn queued_intervals(&self) -> &[u64];
-}
-
-impl FleetScheduler for FleetController {
-    fn interval(&self) -> Nanos {
-        self.config().interval
-    }
-    fn app_count(&self) -> usize {
-        self.apps().len()
-    }
-    fn placements(&self) -> &[Placement] {
-        FleetController::placements(self)
-    }
-    fn sample(&mut self, now: Nanos, samples: &[FleetSample]) -> Vec<(usize, Placement)> {
-        FleetController::sample(self, now, samples)
-    }
-    fn admission_decision(&self, app: usize) -> AdmissionDecision {
-        FleetController::admission_decision(self, app)
-    }
-    fn queued_intervals(&self) -> &[u64] {
-        FleetController::queued_intervals(self)
-    }
 }
 
 #[cfg(test)]

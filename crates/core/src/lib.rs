@@ -16,10 +16,12 @@
 //!   classifier, exactly as in the paper.)
 //! * [`run_host_controlled`] / [`Timeline`] — the experiment harness that
 //!   plays the controller daemon against a simulation (Figures 6 and 7).
-//! * [`FleetController`] / [`run_fleet_controlled`] — the multi-application
-//!   scheduler placing programs across a capacity-bounded device fabric
-//!   (one device per ToR, §9.4) via a greedy benefit-per-capacity
-//!   knapsack over (app × device) candidates.
+//! * [`HierarchicalController`] (also named [`FleetController`]) /
+//!   [`run_fleet_controlled`] — the multi-application scheduler placing
+//!   programs across a capacity-bounded device fabric (one device per
+//!   ToR, §9.4) via a greedy benefit-per-capacity knapsack over
+//!   (app × device) candidates, re-solved incrementally where the
+//!   economics moved.
 //! * [`PlacementAnalysis`] — the §8 energy-model questions and tipping
 //!   point.
 //! * [`OnDemandEnvelope`] — the Figure 5 composite power curve.

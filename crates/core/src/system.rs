@@ -375,11 +375,9 @@ impl FleetTimeline {
 /// vector); the controller re-solves its placement knapsack; `apply`
 /// executes each placement change on the simulated hardware. Records one
 /// [`Timeline`] per app plus the fleet-level energy total. Generic over
-/// the [`FleetScheduler`]: the flat
-/// [`FleetController`](crate::fleet::FleetController) and the
-/// hierarchical
-/// [`HierarchicalController`](crate::arbiter::HierarchicalController)
-/// both drive it.
+/// the [`FleetScheduler`], which the fleet scheduler
+/// ([`HierarchicalController`](crate::arbiter::HierarchicalController))
+/// implements.
 ///
 /// The run advances in whole sampling intervals, so when `until` is not
 /// an interval multiple the final interval extends past it; read the

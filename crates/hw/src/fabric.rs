@@ -481,22 +481,6 @@ impl DeviceFabric {
         DeviceFabric::new(vec![budget; n], topology)
     }
 
-    /// An empty copy: same budgets, topology and liveness, no
-    /// allocations. Used by schedulers to build a candidate assignment
-    /// before committing.
-    pub fn fresh(&self) -> Self {
-        DeviceFabric {
-            devices: self
-                .devices
-                .iter()
-                .map(|d| DeviceCapacity::new(d.budget()))
-                .collect(),
-            topology: self.topology.clone(),
-            where_is: HashMap::new(),
-            online: self.online.clone(),
-        }
-    }
-
     /// Number of devices in the fabric.
     pub fn device_count(&self) -> usize {
         self.devices.len()
@@ -923,19 +907,6 @@ mod tests {
     #[should_panic(expected = "same devices")]
     fn budget_topology_mismatch_is_rejected() {
         let _ = DeviceFabric::new(vec![PipelineBudget::tofino_like(); 3], Topology::single(2));
-    }
-
-    #[test]
-    fn fresh_copies_budgets_not_allocations() {
-        let mut f = two_tors();
-        f.admit(DeviceId(0), 7, dns()).unwrap();
-        let g = f.fresh();
-        assert_eq!(g.resident_count(), 0);
-        assert_eq!(g.device_count(), 2);
-        assert_eq!(
-            g.device(DeviceId(0)).budget(),
-            f.device(DeviceId(0)).budget()
-        );
     }
 
     #[test]

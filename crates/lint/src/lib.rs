@@ -1,8 +1,8 @@
 //! `inc-lint` — the workspace determinism & sans-IO contract checker.
 //!
-//! Every headline claim this reproduction makes — flat
-//! [`FleetController`] ≡ `HierarchicalController` bit-for-bit,
-//! streaming ≡ full-row telemetry `to_bits()` equality,
+//! Every headline claim this reproduction makes — the incremental
+//! fleet scheduler ≡ its full re-score bit-for-bit, pinned shift-log
+//! fingerprints, streaming ≡ full-row telemetry `to_bits()` equality,
 //! decode-never-panics, chaos-scenario replayability under a seed —
 //! rests on *determinism contracts*: the decision-path crates must be
 //! pure functions of observed state. Property tests probe those
@@ -27,8 +27,6 @@
 //! `// inc-lint: allow(<rule>): <reason>` (reason mandatory, waiver
 //! recorded in `lint.json`); the four sans-IO decision crates may not
 //! carry waivers at all — there, the fix is the only way out.
-//!
-//! [`FleetController`]: https://example.invalid/inc-on-demand
 
 pub mod lexer;
 pub mod report;

@@ -32,7 +32,7 @@ pub struct Rule {
 }
 
 /// The sans-IO / decision-path crates: every headline equivalence claim
-/// (flat ≡ hierarchical, streaming ≡ full-row, chaos replayability)
+/// (incremental ≡ full re-score, streaming ≡ full-row, chaos replayability)
 /// is a function of state in these four crates, so they get the
 /// strictest rules and may not carry waivers.
 pub const DECISION_CRATES: &[&str] =

@@ -214,10 +214,10 @@ fn skewed_prices_agree_across_flat_and_hierarchical_engines() {
     use inc::ondemand::{
         ArbiterConfig, ArbitrationMode, HierarchicalController, Objective, PriceRule,
     };
-    // A skewed tariff on a single-pod fabric: the hierarchical pipeline
-    // must still degenerate to the flat controller bit-for-bit — the
-    // objective plugs into the shared pricing module, not into one
-    // engine.
+    // A skewed tariff on a single-pod fabric: the `FleetController`
+    // form (incremental, no dead band) and a full re-score of every pod
+    // every tick (the flat work profile) must agree bit-for-bit — the
+    // objective prices the scores, not which of them get recomputed.
     let objective = Objective::Dollar {
         per_joule: 2.0,
         per_gb_moved: 10.0,
@@ -252,7 +252,7 @@ fn skewed_prices_agree_across_flat_and_hierarchical_engines() {
     let mut hier = HierarchicalController::new(
         ArbiterConfig {
             fleet: config,
-            mode: ArbitrationMode::Incremental,
+            mode: ArbitrationMode::FullRescore,
             rate_deadband: 0.0,
         },
         fabric(),

@@ -188,7 +188,7 @@ fn fleet_places_across_the_fabric_and_beats_static_schedules() {
         raw * haircut
     );
     assert!(
-        spill.benefit_w >= ctl.config().min_benefit_w,
+        spill.benefit_w >= ctl.config().fleet.min_benefit_w,
         "spill without a winning penalty-adjusted benefit: {} W",
         spill.benefit_w
     );

@@ -619,7 +619,7 @@ proptest! {
                 })
                 .collect();
             for i in 0..3 {
-                if ctl.benefit_w(i, rs[i]) >= ctl.config().min_benefit_w {
+                if ctl.benefit_w(i, rs[i]) >= ctl.config().fleet.min_benefit_w {
                     hot[i] += 1;
                 } else {
                     hot[i] = 0;
@@ -632,7 +632,7 @@ proptest! {
                     // Invariant 2: entering a device (from software or
                     // from another device) requires the full window.
                     prop_assert!(
-                        hot[i] >= ctl.config().sustain_samples,
+                        hot[i] >= ctl.config().fleet.sustain_samples,
                         "step {}: app {} entered {:?} with streak {}",
                         step, i, to, hot[i]
                     );
@@ -752,7 +752,7 @@ proptest! {
                 })
                 .collect();
             for i in 0..4 {
-                if ctl.benefit_w(i, rs[i]) >= ctl.config().min_benefit_w {
+                if ctl.benefit_w(i, rs[i]) >= ctl.config().fleet.min_benefit_w {
                     hot[i] += 1;
                 } else {
                     hot[i] = 0;
@@ -765,7 +765,7 @@ proptest! {
                     // Invariant 3: entries — benefit, admission *and*
                     // fairness claims — obey the sustain window.
                     prop_assert!(
-                        hot[i] >= ctl.config().sustain_samples,
+                        hot[i] >= ctl.config().fleet.sustain_samples,
                         "step {}: app {} entered {:?} with streak {}",
                         step, i, to, hot[i]
                     );
@@ -818,7 +818,7 @@ proptest! {
                     .sum();
                 for dev in [DeviceId(0), DeviceId(1)] {
                     let eff = ctl.effective_benefit_w(i, dev, rs[i]);
-                    if eff < ctl.config().min_benefit_w {
+                    if eff < ctl.config().fleet.min_benefit_w {
                         continue;
                     }
                     let mut ledger = DeviceCapacity::new(PipelineBudget::tofino_like());
@@ -1203,104 +1203,6 @@ proptest! {
         prop_assert!(inc.stats().pods_solved <= full.stats().pods_solved);
         prop_assert!(inc.stats().candidates_scored <= full.stats().candidates_scored);
     }
-
-    /// With a single pod and a zero dead band the hierarchical pipeline
-    /// degenerates to exactly the flat `FleetController` algorithm: the
-    /// coordinator has no cross-pod candidates and the pod arbiter's
-    /// heap merge replays the flat greedy scan, so the two engines must
-    /// agree bit-for-bit on arbitrary traces.
-    #[test]
-    fn single_pod_hierarchy_degenerates_to_flat_controller(
-        rates in proptest::collection::vec(
-            (0u32..300_000, 0u32..300_000, 0u32..300_000, 0u32..300_000), 8..40),
-        slopes in proptest::collection::vec(0.02f64..0.2, 4),
-        stages in proptest::collection::vec(4u32..9, 4),
-        homes in proptest::collection::vec(0u16..2, 4),
-    ) {
-        use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
-                      TierCost, Topology};
-        use inc::ondemand::{ArbiterConfig, ArbitrationMode, FleetApp,
-                            FleetController, FleetControllerConfig, FleetSample,
-                            HierarchicalController, HostSample,
-                            PlacementAnalysis};
-        use inc::power::EnergyParams;
-        use inc::sim::Nanos;
-
-        let analysis = |slope_per_kpps: f64| PlacementAnalysis {
-            software: EnergyParams {
-                idle_w: 50.0,
-                sleep_w: 0.0,
-                active_w: 50.0 + slope_per_kpps * 1_000.0,
-                peak_rate_pps: 1_000_000.0,
-            },
-            network: EnergyParams {
-                idle_w: 52.0,
-                sleep_w: 0.0,
-                active_w: 52.1,
-                peak_rate_pps: 10_000_000.0,
-            },
-        };
-        // One pod of two ToRs: contention, moves and fairness claims all
-        // happen, but everything is intra-pod.
-        let fabric = || DeviceFabric::homogeneous(
-            2,
-            PipelineBudget::tofino_like(),
-            Topology::rack_pairs(
-                1,
-                TierCost::standard_intra_pod(),
-                TierCost::standard_inter_pod(),
-            ),
-        );
-        let apps: Vec<FleetApp> = (0..4).map(|i| FleetApp {
-            name: format!("app{i}"),
-            demand: ProgramResources {
-                stages: stages[i],
-                sram_bytes: 4 << 20,
-                parse_depth_bytes: 64,
-            },
-            analysis: analysis(slopes[i]),
-            home: DeviceId(homes[i]),
-            weight: 1.0,
-        }).collect();
-        let cfg = FleetControllerConfig::standard(Nanos::from_secs(1));
-        let mut flat = FleetController::new(cfg, fabric(), apps.clone());
-        let mut hier = HierarchicalController::new(
-            ArbiterConfig {
-                fleet: cfg,
-                mode: ArbitrationMode::Incremental,
-                rate_deadband: 0.0,
-            },
-            fabric(),
-            apps.clone(),
-        );
-        for (step, r) in rates.iter().enumerate() {
-            let rs = [r.0 as f64, r.1 as f64, r.2 as f64, r.3 as f64];
-            let now = Nanos::from_secs(step as u64 + 1);
-            let samples: Vec<FleetSample> = rs.iter().map(|&r| FleetSample {
-                host: HostSample { rapl_w: 50.0, app_cpu_util: 0.5, hw_app_rate: r },
-                offered_pps: r,
-            }).collect();
-            let df = flat.sample(now, &samples);
-            let dh = hier.sample(now, &samples);
-            prop_assert_eq!(df, dh, "decisions diverged at step {}", step);
-            prop_assert_eq!(flat.placements(), hier.placements(),
-                            "placements diverged at step {}", step);
-            for i in 0..4 {
-                prop_assert_eq!(flat.admission_decision(i), hier.admission_decision(i));
-                prop_assert_eq!(flat.starved_streak(i), hier.starved_streak(i));
-            }
-        }
-        prop_assert_eq!(flat.shifts().len(), hier.shifts().len());
-        for (f, h) in flat.shifts().iter().zip(hier.shifts()) {
-            prop_assert_eq!(f.at, h.at);
-            prop_assert_eq!(f.app, h.app);
-            prop_assert_eq!(f.to, h.to);
-            prop_assert_eq!(f.reason, h.reason);
-            prop_assert_eq!(f.rate_pps.to_bits(), h.rate_pps.to_bits());
-            prop_assert_eq!(f.benefit_w.to_bits(), h.benefit_w.to_bits());
-        }
-        prop_assert_eq!(flat.queued_intervals(), hier.queued_intervals());
-    }
 }
 
 // --- Streaming telemetry equivalence (measurement plane). ---
@@ -1399,8 +1301,7 @@ proptest! {
     /// Uniform prices are a unit relabel, not a policy change: pricing
     /// the same trace in joules, in dollars at `$1/J` with no byte
     /// charge, and in carbon with an all-ones tier intensity must
-    /// produce bit-identical shift logs and placements — on the flat
-    /// controller and on the hierarchical pipeline alike. `1.0 × x`
+    /// produce bit-identical shift logs and placements. `1.0 × x`
     /// and `x − 0.0` have to be the *same float* as `x` all the way
     /// through the scoring arithmetic for this to hold.
     #[test]
@@ -1414,7 +1315,7 @@ proptest! {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
         use inc::ondemand::{ArbiterConfig, ArbitrationMode, FleetApp,
-                            FleetController, FleetControllerConfig, FleetSample,
+                            FleetControllerConfig, FleetSample,
                             HierarchicalController, HostSample, Objective,
                             PlacementAnalysis};
         use inc::power::{EnergyParams, LinkEnergyModel};
@@ -1461,13 +1362,6 @@ proptest! {
             Objective::Carbon { per_joule_by_tier: [1.0, 1.0, 1.0] },
         ];
         let interval = Nanos::from_secs(1);
-        let mut flats: Vec<FleetController> = objectives.iter().map(|&objective| {
-            FleetController::new(
-                FleetControllerConfig { objective, ..FleetControllerConfig::standard(interval) },
-                fabric(),
-                apps.clone(),
-            )
-        }).collect();
         let mut hiers: Vec<HierarchicalController> = objectives.iter().map(|&objective| {
             HierarchicalController::new(
                 ArbiterConfig {
@@ -1491,11 +1385,6 @@ proptest! {
                     offered_pps: r,
                 }
             }).collect();
-            let d0 = flats[0].sample(now, &samples);
-            for flat in &mut flats[1..] {
-                prop_assert_eq!(&flat.sample(now, &samples), &d0,
-                                "flat decisions diverged at step {}", step);
-            }
             let h0 = hiers[0].sample(now, &samples);
             for hier in &mut hiers[1..] {
                 prop_assert_eq!(&hier.sample(now, &samples), &h0,
@@ -1510,11 +1399,6 @@ proptest! {
                     && x.benefit_w.to_bits() == y.benefit_w.to_bits()
             })
         };
-        for flat in &flats[1..] {
-            prop_assert!(check(flats[0].shifts(), flat.shifts()),
-                         "a uniform objective re-priced the flat shift log");
-            prop_assert_eq!(flats[0].placements(), flat.placements());
-        }
         for hier in &hiers[1..] {
             prop_assert!(check(hiers[0].shifts(), hier.shifts()),
                          "a uniform objective re-priced the hierarchical shift log");

@@ -134,7 +134,7 @@ fn spill_prefers_the_near_rack_over_an_equally_feasible_far_one() {
     let probe = PodFabricRig::fleet_controller(INTERVAL, ClaimPolicy::MinCost);
     let expected = probe.effective_benefit_w(ANA, PodFabricRig::TOR_A1, spill.rate_pps);
     assert!((spill.benefit_w - expected).abs() < 1e-9);
-    assert!(spill.benefit_w >= probe.config().min_benefit_w);
+    assert!(spill.benefit_w >= probe.config().fleet.min_benefit_w);
 
     // Everyone else offloads at home: no tenant pays a detour its own
     // ToR could have served.
