@@ -1215,6 +1215,12 @@ impl HierarchicalController {
                 (Placement::Software, None) => (None, None),
                 _ => continue,
             };
+            // `x - 0.0` is `x` bit for bit, so software apps pay nothing.
+            let debit = if from.is_some() {
+                self.app_migration_w(i)
+            } else {
+                0.0
+            };
             for d in self.fabric.device_ids() {
                 let target = match sticky {
                     Some(_) => Some(d) != from,
@@ -1224,10 +1230,7 @@ impl HierarchicalController {
                     continue;
                 }
                 self.stats.candidates_scored += 1;
-                let value = match from {
-                    Some(_) => self.move_benefit_w(i, d, rate),
-                    None => self.effective_benefit_w(i, d, rate),
-                };
+                let value = self.effective_benefit_w(i, d, rate) - debit;
                 if value >= floor {
                     let score = self.per_capacity(i, d, value);
                     if sticky.is_none_or(|s| score > s) {

@@ -1,5 +1,5 @@
 //! Pinned schedules of the model-driven rigs: every fleet run the
-//! examples and rig drivers make on `ContendedFabricRig`,
+//! examples and rig helpers make on `ContendedFabricRig`,
 //! `PodFabricRig` and `EconomicsRig` — the scheduled days and their
 //! static baselines — held to the exact shift log (an FNV-1a
 //! fingerprint, floats by `to_bits`) and the exact metered energy it
