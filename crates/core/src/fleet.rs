@@ -268,20 +268,25 @@ pub struct FleetSample {
 }
 
 impl FleetSample {
-    /// The rate the scheduler trusts for an app at `placement`: the
-    /// side of the §9.1 feedback rule that can see its load, with a
-    /// non-finite or negative reading taken as 0 pps.
+    /// The reading the scheduler trusts for an app at `placement`: the
+    /// side of the §9.1 feedback rule that can see its load, as read
+    /// (the scheduler prices it through `sane_rate`).
     pub(crate) fn trusted_rate(&self, placement: Placement) -> f64 {
-        let rate = if placement.is_offloaded() {
+        if placement.is_offloaded() {
             self.host.hw_app_rate
         } else {
             self.offered_pps
-        };
-        if rate.is_finite() && rate >= 0.0 {
-            rate
-        } else {
-            0.0
         }
+    }
+}
+
+/// A measured rate as the scheduler prices it: a reading that is not
+/// finite, or is negative, is taken as 0 pps.
+pub(crate) fn sane_rate(rate: f64) -> f64 {
+    if rate.is_finite() && rate >= 0.0 {
+        rate
+    } else {
+        0.0
     }
 }
 
