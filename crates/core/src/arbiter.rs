@@ -847,11 +847,11 @@ impl HierarchicalController {
             // the negated `<=` is load-bearing, not a misspelt `>`. A
             // NaN or infinite reading never compares in band either, so
             // broken meters are priced as 0 pps here, off the quiet path
-            // (a check per app per tick cost ~5 % on a 1000-tenant
-            // fleet). That is exact: a negative reading inside the band
-            // is as close to `held` as 0 pps would be. A broken reading
-            // that sanitises to `held` still re-scores the app, which
-            // changes no decision.
+            // (a check on every app every tick measurably slows a
+            // 1000-tenant fleet). That is exact: a negative reading
+            // inside the band is as close to `held` as 0 pps would be. A
+            // broken reading that sanitises to `held` still re-scores the
+            // app, which changes no decision.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !((measured - held).abs() <= deadband * held.abs().max(1.0)) {
                 let measured = sane_rate(measured);
